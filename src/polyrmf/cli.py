@@ -44,7 +44,6 @@ class _Opt:
 
 _COMMON = (
     _Opt("seed", int, None, help="root seed (falls back to RCL_SEED, then 0)"),
-    _Opt("threads", int, 1, help="worker bound; the implementation is single-threaded"),
 )
 
 _SPECS: dict[str, tuple[_Opt, ...]] = {
@@ -153,8 +152,6 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         cfg[opt.name] = v
     if cfg.get("seed") is None:
         cfg["seed"] = int(os.environ.get("RCL_SEED", "0"))
-    if cfg.get("threads") is not None and cfg["threads"] < 1:
-        raise ValueError("threads must be >= 1")
     return cfg
 
 

@@ -2,7 +2,7 @@
 
 The solve is exact: values P(1..N) are computed once, the range [1, N] is cut
 into integer intervals on which P is monotone (cuts at the integer neighbors
-of the real critical points), and each quotient a*P(x)/b is located by binary
+of the critical points), and each quotient a*P(x)/b is located by binary
 search inside every piece. Every reported point is verified by an exact
 integer identity, so false positives are impossible; completeness rests on
 the monotone decomposition, which the tests check against a quadratic-time
@@ -10,56 +10,26 @@ scan.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import IntPolynomial
-
-_INT64_SAFE = 1 << 62
-
-
-def _loose_bound(P: IntPolynomial, n_max: int) -> int:
-    return sum(abs(c) * n_max**i for i, c in enumerate(P.coeffs))
-
-
-def _values_array(P: IntPolynomial, n_max: int):
-    """P(1..N) as int64 when safe, else a Python list of exact ints."""
-    if _loose_bound(P, n_max) < _INT64_SAFE:
-        n = np.arange(1, n_max + 1, dtype=np.int64)
-        vals = np.zeros(n_max, dtype=np.int64)
-        for c in reversed(P.coeffs):
-            vals *= n
-            vals += c
-        return vals
-    return [P.eval(x) for x in range(1, n_max + 1)]
+from .poly import IntPolynomial, monotone_cuts, value_range, values_int64
 
 
 def monotone_pieces(P: IntPolynomial, n_max: int) -> list[tuple[int, int]]:
     """Closed integer intervals covering [1, n_max], P monotone on each.
 
-    Consecutive pieces share an endpoint. Cut points are placed on both
-    integer sides of every real critical point, padded by one to absorb
-    root-finding error; any interval of length one is trivially monotone, so
-    a critical point strictly between adjacent cuts is harmless.
+    Consecutive pieces share an endpoint; the cuts are those of
+    poly.monotone_cuts.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    cuts = {1, n_max}
-    if P.degree >= 2:
-        for r in np.roots(list(reversed(P.derivative_coeffs()))):
-            if abs(r.imag) > 1e-8 * (1.0 + abs(r.real)):
-                continue
-            base = math.floor(r.real)
-            for c in (base - 1, base, base + 1, base + 2):
-                if 1 <= c <= n_max:
-                    cuts.add(c)
-    cs = sorted(cuts)
+    cs = monotone_cuts(P, 1, n_max)
     if len(cs) == 1:
-        return [(cs[0], cs[0])]
-    return [(cs[i], cs[i + 1]) for i in range(len(cs) - 1)]
+        return [(1, 1)]
+    return list(zip(cs, cs[1:]))
 
 
 def _locate_in_pieces_int64(vals, pieces, targets):
@@ -110,11 +80,11 @@ def integral_points(
         raise ValueError("coefficients a and b must be positive integers")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    vals = _values_array(P, n_max)
-    if isinstance(vals, list) or a * int(np.abs(vals).max()) >= _INT64_SAFE:
-        if not isinstance(vals, list):
-            vals = [int(v) for v in vals]
+    (lo_v, _), (hi_v, _) = value_range(P, 1, n_max)
+    if max(a, b) * max(-lo_v, hi_v, 1) >= 1 << 62:  # a, b or a * P(x) would not fit int64
+        vals = [P.eval(x) for x in range(1, n_max + 1)]
         return sorted(_integral_points_exact(P, a, b, n_max, vals))
+    vals = values_int64(P, 1, n_max + 1)
     pieces = monotone_pieces(P, n_max)
     scaled = a * vals
     rem = scaled % b

@@ -237,8 +237,6 @@ def build_prime_class_sets(
             raise ValueError("fluctuation sets are defined for x^2 + 1 only")
         if table.n_max < xk:
             raise ValueError("table does not cover the largest scale")
-        if isinstance(table.values, list):
-            raise TypeError("need an int64 table")
     theta_min = c * xs[0] * math.log(xs[0])
     uprimes, starts, counts, first_n, second_n, n_s = _occurrence_groups(table, theta_min)
     bitmask = np.zeros(xk, dtype=np.uint64)

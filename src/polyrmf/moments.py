@@ -67,23 +67,9 @@ def pair_kernel(a, b) -> KernelKey:
     return KernelKey(tuple(sorted(sa.symmetric_difference(sb))))
 
 
-def _sf_values_array(table: ValueTable):
-    """Squarefree values as int64 array, or None when out of int64 range."""
-    if isinstance(table.values, list):
-        return None
-    return table.values[np.asarray(table.is_squarefree)]
-
-
-def _value_multiplicities(table: ValueTable) -> Counter:
-    vals = _sf_values_array(table)
-    if vals is not None:
-        u, c = np.unique(vals, return_counts=True)
-        return Counter({int(v): int(k) for v, k in zip(u, c)})
-    cnt: Counter = Counter()
-    for rec in table:
-        if rec.is_squarefree:
-            cnt[rec.value] += 1
-    return cnt
+def _value_multiplicities(table: ValueTable) -> dict[int, int]:
+    u, c = np.unique(table.values[table.is_squarefree], return_counts=True)
+    return dict(zip(u.tolist(), c.tolist()))
 
 
 def second_moment_exact(table: ValueTable) -> int:
@@ -117,13 +103,13 @@ def fourth_moment_exact(table: ValueTable) -> int:
     """Ordered squarefree quadruples (n1..n4) whose value product is a square.
 
     Equals sum over kernels mu of c_mu**2 with c_mu the ordered-pair count of
-    kernel mu. Runs the O(S^2) pair scan with integer kernels; values beyond
-    int64 range fall back to exact prime-set arithmetic.
+    kernel mu. Runs the O(S^2) pair scan with integer kernels; values whose
+    pair kernels could pass int64 fall back to exact prime-set arithmetic.
     """
-    vals = _sf_values_array(table)
-    if vals is not None and (len(vals) == 0 or int(vals.max(initial=0)) < _INT64_VALUE_LIMIT):
-        if len(vals) == 0:
-            return 0
+    vals = table.values[table.is_squarefree]
+    if len(vals) == 0:
+        return 0
+    if int(vals.max()) < _INT64_VALUE_LIMIT:
         _, counts = _kernel_counts_int64(vals)
         if len(vals) ** 4 < 1 << 62:
             return int(np.dot(counts, counts))
@@ -157,15 +143,10 @@ def _kernel_int(a: int, b: int) -> int:
 def _class_members(table: ValueTable) -> dict[int | None, list[int]]:
     """Squarefree values grouped by largest prime factor (None for value 1)."""
     groups: dict[int | None, list[int]] = {}
-    largest = table.largest
-    sf = np.asarray(table.is_squarefree)
-    if isinstance(table.values, list):
-        items = zip(table.values, largest, sf)
-    else:
-        items = zip(table.values.tolist(), largest.tolist(), sf.tolist())
+    items = zip(table.values.tolist(), table.largest.tolist(), table.is_squarefree.tolist())
     for v, lp, ok in items:
         if ok:
-            groups.setdefault(int(lp) if lp else None, []).append(int(v))
+            groups.setdefault(lp or None, []).append(v)
     return groups
 
 

@@ -1,10 +1,14 @@
 """Integer polynomials: exact evaluation, classification, and roots modulo m.
 
-Coefficients are stored ascending (constant term first) and all arithmetic on
-polynomial values is exact Python-integer arithmetic. Root finding modulo a
-prime uses an exhaustive residue scan for small moduli and closed-form solving
-(linear inversion, quadratic formula with a Tonelli-Shanks square root) for
-large primes; the two paths agree exactly and are cross-checked in tests.
+Coefficients are stored ascending (constant term first). Scalar arithmetic
+on polynomial values is exact Python-integer arithmetic; values_int64
+evaluates whole ranges in wrapping 64-bit arithmetic, exact whenever the
+values themselves fit int64, which value_range decides exactly. Root finding
+modulo a prime uses an exhaustive residue scan for small moduli and
+closed-form solving (linear inversion, quadratic formula with a
+Tonelli-Shanks square root) for large primes; the two paths agree exactly
+and are cross-checked in tests. Roots modulo p**2 come from Hensel lifting
+the roots modulo p, in Python integers.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DomainError
 from .intmath import (
     crt_pair,
     inv_mod,
@@ -133,6 +138,71 @@ def is_admissible(P: IntPolynomial) -> bool:
     return is_squarefree_int(fixed_divisor(P))
 
 
+# ---------------------------------------------------------------------------
+# values over integer ranges
+
+_U64_MASK = (1 << 64) - 1
+
+
+def values_int64(P: IntPolynomial, lo: int, hi: int) -> np.ndarray:
+    """P(n) for lo <= n < hi as an int64 array.
+
+    Horner's rule runs in wrapping uint64 arithmetic with every coefficient
+    reduced mod 2**64. Reduction mod 2**64 is a ring map from Z, so each
+    entry is P(n) mod 2**64, which is P(n) itself whenever every value lies in
+    int64, however large the coefficients or the intermediates. Callers
+    establish that first with value_range.
+    """
+    n = np.arange(lo, hi, dtype=np.int64).view(np.uint64)
+    acc = np.full(len(n), P.leading & _U64_MASK, dtype=np.uint64)
+    for c in reversed(P.coeffs[:-1]):
+        acc *= n
+        acc += np.uint64(c & _U64_MASK)
+    return acc.view(np.int64)
+
+
+def monotone_cuts(P: IntPolynomial, lo: int, hi: int) -> list[int]:
+    """Sorted integers of [lo, hi], lo and hi included, with P monotone between neighbours.
+
+    Besides lo and hi, the cuts are floor(r) - 1 .. floor(r) + 2 for the
+    real part r of every root of P'. The padding absorbs the floating-point
+    error of np.roots; the interval between two adjacent integers is
+    trivially monotone, so a critical point strictly inside one is harmless.
+    Non-real roots contribute as well: an extra cut costs one evaluation, and
+    two close real critical points can come back as a complex pair.
+
+    np.roots works in floats, so the coefficients of P' are first divided by
+    the largest power of two not above its leading coefficient; that leaves
+    the roots unchanged and takes coefficients of any size. Raises DomainError
+    when a coefficient exceeds the leading one by a factor of about 10**308,
+    past the float range.
+    """
+    cuts = {lo, hi}
+    if P.degree >= 2:
+        d = P.derivative_coeffs()[::-1]
+        scale = 1 << (abs(d[0]).bit_length() - 1)
+        try:
+            scaled = [c / scale for c in d]
+        except OverflowError:
+            raise DomainError(
+                "a coefficient exceeds the leading one by more than the float range"
+            ) from None
+        for r in np.roots(scaled):
+            base = math.floor(r.real)
+            cuts.update(c for c in range(base - 1, base + 3) if lo <= c <= hi)
+    return sorted(cuts)
+
+
+def value_range(P: IntPolynomial, lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((min P(n), argmin), (max P(n), argmax)) over the integers lo..hi, exact.
+
+    The extrema lie among the monotone cuts, where P is evaluated in Python
+    integers; ties go to the smallest n.
+    """
+    vals = [(P(c), c) for c in monotone_cuts(P, lo, hi)]
+    return min(vals, key=lambda vc: vc[0]), max(vals, key=lambda vc: vc[0])
+
+
 def _is_rational_root(coeffs: tuple[int, ...], num: int, den: int) -> bool:
     # P(num/den) == 0 iff sum c_i num^i den^(d-i) == 0
     d = len(coeffs) - 1
@@ -232,15 +302,15 @@ def classify(P: IntPolynomial) -> PolyClass:
 # roots modulo primes, prime squares, and squarefree m
 
 
+def _eval_mod(coeffs, x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
 def _roots_scan_small(coeffs_mod: list[int], p: int) -> list[int]:
-    roots = []
-    for x in range(p):
-        acc = 0
-        for c in reversed(coeffs_mod):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            roots.append(x)
-    return roots
+    return [x for x in range(p) if _eval_mod(coeffs_mod, x, p) == 0]
 
 
 def _roots_scan_vector(coeffs_mod: list[int], p: int) -> list[int]:
@@ -306,64 +376,53 @@ def roots_mod_prime(P: IntPolynomial, p: int) -> list[int] | range:
     return _roots_scan(coeffs_mod, p)
 
 
-def _lift_roots_prime_square(P: IntPolynomial, p: int, base_roots) -> list[int]:
-    """Scan the residues mod p**2 lying over each root mod p.
+def _hensel_lifts(P: IntPolynomial, p: int) -> tuple[list[int], list[int] | range]:
+    """Roots of P mod p**2 as (single, fibres).
 
-    Residues x with P(x) != 0 mod p cannot be roots mod p**2, so only the p
-    lifts r + t*p of each base root are scanned. Each candidate is tested via
-    the exact expansion P(r + t*p) = P(r) + t*p*P'(r) (mod p**2); all terms
-    stay below p**3 so the int64 vector arithmetic is exact for p <= 10**5.
+    single lists roots mod p**2. Each r in fibres is a root mod p all of whose
+    p lifts r + t*p are roots mod p**2. By Hensel's lemma a simple root r mod p
+    (P'(r) != 0 mod p) lifts to exactly one root, r - P(r)/P'(r) mod p**2; a
+    singular root lifts to all p residues when p**2 divides P(r) and to none
+    otherwise. When p divides every coefficient, P = p*Q and P(x) = 0 mod p**2
+    exactly when Q(x) = 0 mod p. Everything is exact Python-integer arithmetic,
+    so no size of p overflows.
     """
+    if all(c % p == 0 for c in P.coeffs):
+        return [], roots_mod_prime(IntPolynomial([c // p for c in P.coeffs]), p)
     m = p * p
-    roots = []
     dcoeffs = P.derivative_coeffs()
-    for r in base_roots:
-        r = int(r)
-        a0 = P(r) % m
-        d = 0
-        for c in reversed(dcoeffs):
-            d = (d * r + c) % p
-        if p <= 64:
-            for t in range(p):
-                if (a0 + t * p * d) % m == 0:
-                    roots.append(r + t * p)
-        else:
-            t = np.arange(p, dtype=np.int64)
-            vals = (a0 + t * (p * d)) % m
-            roots.extend((r + t[vals == 0] * p).tolist())
-    return sorted(roots)
+    single, fibres = [], []
+    for r in roots_mod_prime(P, p):
+        v = _eval_mod(P.coeffs, r, m)
+        d = _eval_mod(dcoeffs, r, p)
+        if d:
+            single.append((r - v * inv_mod(d, p)) % m)
+        elif v == 0:
+            fibres.append(r)
+    return single, fibres
 
 
-def _roots_mod_prime_square(P: IntPolynomial, p: int) -> list[int]:
-    base = roots_mod_prime(P, p)
-    if isinstance(base, range):
-        # P = p*Q mod p**2; scan everything (only content primes land here)
-        m = p * p
-        if m > 1 << 22:
-            raise ValueError(f"residue scan mod {p}^2 too large")
-        coeffs_mod = [c % m for c in P.coeffs]
-        x = np.arange(m, dtype=np.int64)
-        acc = np.zeros(m, dtype=np.int64)
-        for c in reversed(coeffs_mod):
-            acc = (acc * x + c) % m
-        return np.nonzero(acc == 0)[0].tolist()
-    if not base:
-        return []
-    return _lift_roots_prime_square(P, p, base)
+def _roots_mod_prime_square(P: IntPolynomial, p: int) -> list[int] | range:
+    single, fibres = _hensel_lifts(P, p)
+    if isinstance(fibres, range):  # P = 0 mod p**2
+        return range(p * p)
+    return sorted(single + [r + t * p for r in fibres for t in range(p)])
 
 
 def count_roots_mod_prime_square(P: IntPolynomial, p: int) -> int:
     """Number of residues r mod p**2 with P(r) = 0 mod p**2."""
-    return len(_roots_mod_prime_square(P, p))
+    single, fibres = _hensel_lifts(P, p)
+    return len(single) + p * len(fibres)
 
 
-def roots_mod(P: IntPolynomial, m: int) -> list[int]:
+def roots_mod(P: IntPolynomial, m: int) -> list[int] | range:
     """Sorted residues r in [0, m) with P(r) = 0 mod m.
 
     m must be squarefree or the square of a prime; these are the only two
     shapes the rest of the package needs. Root sets are found per prime (or
     prime square) and recombined with the Chinese Remainder Theorem, so the
-    count is multiplicative over coprime factors.
+    count is multiplicative over coprime factors. A prime square on which P
+    vanishes identically gives range(m).
     """
     if m < 1:
         raise ValueError("modulus must be positive")

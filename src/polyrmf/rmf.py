@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DomainError
-from .moments import second_moment_exact, _value_multiplicities
+from .moments import second_moment_exact
 from .poly import IRREDUCIBLE_QUADRATIC, LINEAR_FACTORS, IntPolynomial, classify, is_admissible
 from .sieve import ValueRecord, ValueTable, kappa_euler, sieve_values
 
@@ -110,8 +110,6 @@ def _vector_ctx(table: ValueTable, model: str) -> dict:
     cache = table.__dict__.setdefault("_rmf_ctx", {})
     if model in cache:
         return cache[model]
-    if isinstance(table.values, list):
-        raise TypeError("vectorized path requires an int64 table")
     primes, inv = table.prime_index()
     lengths = np.diff(table.row_ptr)
     ctx = {
@@ -159,9 +157,6 @@ def _f_values_vector(seed: int, table: ValueTable, model: str) -> np.ndarray:
 
 def partial_sum(sampler: RmfSampler, table: ValueTable):
     """Sum of f(P(n)) over n = 1..N: exact int for Rademacher."""
-    if isinstance(table.values, list):
-        total = sum(f_value(sampler, rec) for rec in table)
-        return total
     v = _f_values_vector(sampler.seed, table, sampler.model)
     if sampler.model == RADEMACHER:
         return int(round(float(v.sum())))
@@ -175,12 +170,6 @@ def partial_sum_by_class(sampler: RmfSampler, table: ValueTable) -> dict:
     dict values sum to partial_sum exactly; non-squarefree rows contribute
     zero under the Rademacher model but land in their class regardless.
     """
-    if isinstance(table.values, list):
-        out: dict = {}
-        for rec in table:
-            key = rec.largest_prime
-            out[key] = out.get(key, 0) + f_value(sampler, rec)
-        return out
     v = _f_values_vector(sampler.seed, table, sampler.model)
     u, invc = np.unique(table.largest, return_inverse=True)
     sums = np.zeros(len(u), dtype=v.dtype)
@@ -271,23 +260,19 @@ def monte_carlo_clt(
         if model == RADEMACHER:
             b = second_moment_exact(table)
         else:
-            b = sum(m * m for m in _value_multiplicities_all(table).values())
+            _, mult = np.unique(table.values, return_counts=True)
+            b = sum(m * m for m in mult.tolist())
         if b == 0:
             raise DomainError("partial sum is identically zero on this range")
         normalizer = float(np.sqrt(b))
 
-    object_mode = isinstance(table.values, list)
     if model == RADEMACHER:
         raw = np.zeros(trials, dtype=np.float64)
     else:
         raw = np.zeros(trials, dtype=np.complex128)
     base = RmfSampler(seed, model)
     for t in range(trials):
-        s = base.derive(t)
-        if object_mode:
-            raw[t] = partial_sum(s, table)
-        else:
-            raw[t] = _f_values_vector(s.seed, table, model).sum()
+        raw[t] = _f_values_vector(base.derive(t).seed, table, model).sum()
     z = raw / normalizer
     if model == RADEMACHER:
         mean_real, mean_imag = float(z.mean()), 0.0
@@ -329,14 +314,3 @@ def monte_carlo_clt(
         hist_edges=tuple(float(e) for e in edges),
         hist_counts=tuple(int(c) for c in counts),
     )
-
-
-def _value_multiplicities_all(table: ValueTable) -> dict:
-    """Multiplicity of every value, squarefree or not."""
-    if isinstance(table.values, list):
-        out: dict = {}
-        for v in table.values:
-            out[v] = out.get(v, 0) + 1
-        return out
-    u, c = np.unique(table.values, return_counts=True)
-    return {int(v): int(k) for v, k in zip(u, c)}

@@ -17,10 +17,20 @@ import numpy as np
 
 from .errors import DomainError
 from .intmath import primes_up_to
-from .poly import IntPolynomial, count_roots_mod_prime_square, is_admissible, roots_mod_prime
+from .poly import (
+    IntPolynomial,
+    count_roots_mod_prime_square,
+    is_admissible,
+    roots_mod_prime,
+    value_range,
+    values_int64,
+)
 
 # hard cap on the prime sieve bound; values whose square root exceeds this
-# cannot be factored at acceptable cost
+# cannot be factored at acceptable cost. It also keeps every sieved value
+# below (2**27 + 1)**2 < 2**55, inside int64, which is what makes the
+# wrapping Horner evaluation of values_int64 exact however large the
+# coefficients are.
 _MAX_SIEVE_BOUND = 1 << 27
 
 _DEFAULT_BLOCK = 1 << 20
@@ -42,7 +52,10 @@ class ValueRecord:
 
 
 class ValueTable:
-    """Columnar table of ValueRecords for P(n), 1 <= n <= n_max."""
+    """Columnar table of ValueRecords for P(n), 1 <= n <= n_max.
+
+    Every column is a numpy array: values, largest and flat_primes are int64.
+    """
 
     def __init__(self, poly, n_max, values, is_sf, largest, flat_primes, flat_exps, row_ptr):
         self.poly = poly
@@ -85,8 +98,8 @@ class ValueTable:
     def from_records(cls, poly: IntPolynomial, records) -> "ValueTable":
         """Build a table directly from records (testing hook).
 
-        Validates that each factor list multiplies out to its value; does not
-        re-check value == poly(n).
+        Validates that each factor list multiplies out to its value and that
+        the value stays below 2**62; does not re-check value == poly(n).
         """
         records = sorted(records, key=lambda r: r.n)
         if [r.n for r in records] != list(range(1, len(records) + 1)):
@@ -98,6 +111,8 @@ class ValueTable:
                 prod *= p**e
             if prod != r.value:
                 raise ValueError(f"factors of record n={r.n} do not multiply to value")
+            if r.value >= 1 << 62:
+                raise ValueError(f"value of record n={r.n} is not below 2**62")
             values.append(r.value)
             sf.append(r.is_squarefree)
             largest.append(r.largest_prime or 0)
@@ -105,10 +120,6 @@ class ValueTable:
                 fp.append(p)
                 fe.append(e)
             ptr.append(len(fp))
-        big = max(values) >= 1 << 62 if values else False
-        if big:
-            return cls(poly, len(records), values, np.array(sf, bool), largest,
-                       fp, fe, np.array(ptr, np.int64))
         return cls(
             poly,
             len(records),
@@ -123,46 +134,9 @@ class ValueTable:
     def prime_index(self):
         """(distinct primes ascending, flat index into them) for vector work."""
         if self._prime_index is None:
-            fp = np.asarray(self.flat_primes, dtype=np.int64)
-            primes, inverse = np.unique(fp, return_inverse=True)
+            primes, inverse = np.unique(self.flat_primes, return_inverse=True)
             self._prime_index = (primes, inverse.astype(np.int64))
         return self._prime_index
-
-
-def _extrema_candidates(P: IntPolynomial, lo: int, hi: int) -> list[int]:
-    """Integer points where P can attain its extrema on [lo, hi]."""
-    cands = {lo, hi}
-    if P.degree >= 2:
-        dcoeffs = P.derivative_coeffs()
-        roots = np.roots(list(reversed(dcoeffs)))
-        for r in roots:
-            if abs(r.imag) < 1e-9:
-                for c in (math.floor(r.real), math.ceil(r.real)):
-                    if lo <= c <= hi:
-                        cands.add(int(c))
-    return sorted(cands)
-
-
-def min_value_on_range(P: IntPolynomial, lo: int, hi: int) -> tuple[int, int]:
-    """(min P(n), argmin) over integers lo..hi, exact."""
-    best = None
-    arg = lo
-    for c in _extrema_candidates(P, lo, hi):
-        v = P(c)
-        if best is None or v < best:
-            best, arg = v, c
-    return best, arg
-
-
-def max_value_on_range(P: IntPolynomial, lo: int, hi: int) -> tuple[int, int]:
-    """(max P(n), argmax) over integers lo..hi, exact."""
-    best = None
-    arg = lo
-    for c in _extrema_candidates(P, lo, hi):
-        v = P(c)
-        if best is None or v > best:
-            best, arg = v, c
-    return best, arg
 
 
 def _prime_roots(P: IntPolynomial, bound: int) -> list[tuple[int, list[int]]]:
@@ -176,16 +150,13 @@ def _prime_roots(P: IntPolynomial, bound: int) -> list[tuple[int, list[int]]]:
     return out
 
 
-def _sieve_int64(P: IntPolynomial, N: int, proots, block_size: int) -> ValueTable:
+def _sieve(P: IntPolynomial, N: int, proots, block_size: int) -> ValueTable:
     values_parts, sf_parts = [], []
     rows_parts, primes_parts, exps_parts = [], [], []
     for lo in range(1, N + 1, block_size):
         hi = min(lo + block_size, N + 1)
         blen = hi - lo
-        narr = np.arange(lo, hi, dtype=np.int64)
-        vals = np.zeros(blen, dtype=np.int64)
-        for c in reversed(P.coeffs):
-            vals = vals * narr + c
+        vals = values_int64(P, lo, hi)
         residual = vals.copy()
         not_sf = np.zeros(blen, dtype=bool)
         for p, roots in proots:
@@ -236,38 +207,6 @@ def _sieve_int64(P: IntPolynomial, N: int, proots, block_size: int) -> ValueTabl
     return ValueTable(P, N, values, sf, largest, primes, exps, row_ptr)
 
 
-def _sieve_object(P: IntPolynomial, N: int, proots) -> ValueTable:
-    # exact fallback for values past the int64 range; plain Python integers
-    values = [P(n) for n in range(1, N + 1)]
-    residual = list(values)
-    factors: list[list[tuple[int, int]]] = [[] for _ in range(N)]
-    sf = [True] * N
-    for p, roots in proots:
-        for r in roots:
-            start = (r - 1) % p
-            for i in range(start, N, p):
-                e = 0
-                while residual[i] % p == 0:
-                    residual[i] //= p
-                    e += 1
-                if e:
-                    factors[i].append((p, e))
-                    if e > 1:
-                        sf[i] = False
-    fp, fe, ptr = [], [], [0]
-    largest = []
-    for i in range(N):
-        if residual[i] > 1:
-            factors[i].append((residual[i], 1))
-        for p, e in factors[i]:
-            fp.append(p)
-            fe.append(e)
-        ptr.append(len(fp))
-        largest.append(factors[i][-1][0] if factors[i] else 0)
-    return ValueTable(P, N, values, np.array(sf, bool), largest, fp, fe,
-                      np.array(ptr, np.int64))
-
-
 def sieve_values(P: IntPolynomial, N: int, block_size: int = _DEFAULT_BLOCK) -> ValueTable:
     """Factor P(n) for every 1 <= n <= N into a ValueTable.
 
@@ -277,24 +216,19 @@ def sieve_values(P: IntPolynomial, N: int, block_size: int = _DEFAULT_BLOCK) -> 
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    minv, arg = min_value_on_range(P, 1, N)
+    (minv, arg), (maxv, _) = value_range(P, 1, N)
     if minv < 1:
         raise DomainError(
             f"P({arg}) = {minv} is not positive; shift the polynomial "
             f"(replace x by x + s) so that values on [1, {N}] are at least 1"
         )
-    maxv, _ = max_value_on_range(P, 1, N)
     bound = math.isqrt(maxv)
     if bound > _MAX_SIEVE_BOUND:
         raise DomainError(
             f"values reach {maxv}; sieving would need primes up to {bound}, "
             f"beyond the supported bound {_MAX_SIEVE_BOUND}"
         )
-    proots = _prime_roots(P, bound)
-    loose = sum(abs(c) * N**i for i, c in enumerate(P.coeffs))
-    if loose < 1 << 62:
-        return _sieve_int64(P, N, proots, block_size)
-    return _sieve_object(P, N, proots)
+    return _sieve(P, N, _prime_roots(P, bound), block_size)
 
 
 def squarefree_count(table: ValueTable) -> int:
@@ -341,8 +275,7 @@ def largest_prime_stats(table: ValueTable, c: float = 0.01) -> LargestPrimeStats
     """
     N = table.n_max
     n = np.arange(1, N + 1, dtype=np.float64)
-    lp = np.array([float(x) for x in table.largest]) if isinstance(table.largest, list) \
-        else table.largest.astype(np.float64)
+    lp = table.largest.astype(np.float64)
     gt_n = lp > n
     with np.errstate(divide="ignore"):
         logn = np.log(n)

@@ -213,9 +213,16 @@ def test_bad_polynomial_string(capsys):
     assert code == 2
 
 
-def test_threads_must_be_positive(capsys):
-    code, _, _ = run(capsys, "smooth", "--x", "10", "--y", "2", "--threads", "0")
+def test_threads_option_is_gone(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["smooth", "--x", "10", "--y", "2", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"x": 10, "y": 2, "threads": 2}))
+    code, _, err = run(capsys, "smooth", "--config", str(cfg))
     assert code == 2
+    assert "threads" in json.loads(err)["error"]["message"]
 
 
 def test_kappa_inadmissible_is_domain_error(capsys):

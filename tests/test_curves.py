@@ -2,6 +2,7 @@ import pytest
 
 from polyrmf.curves import (
     CurveScanReport,
+    _integral_points_exact,
     exponent_scan,
     integral_points,
     monotone_pieces,
@@ -60,6 +61,31 @@ def test_big_coefficient_path():
     big = 2**61
     pts = integral_points(p, big, 2 * big, 100)
     assert pts == [(3, 2), (17, 12), (99, 70)]  # same ratio as (1, 2)
+    huge = IntPolynomial((10**400, 0, 10**400))  # values past int64 and float range
+    assert integral_points(huge, 1, 2, 100) == [(3, 2), (17, 12), (99, 70)]
+    assert integral_points(p, 2**64, 2**65, 100) == [(3, 2), (17, 12), (99, 70)]
+    assert integral_points(IntPolynomial((-1, 1)), 2**64, 3, 1) == [(1, 1)]  # P(1) = 0
+
+
+def test_huge_cancelling_coefficients_take_int64_path():
+    # x^2 - 5x + 10 + 2**62 (x-1)(x-2)(x-3)(x-4): values 6, 4, 4, 6 on 1..4
+    # although the coefficients are far past int64
+    q = (10, -5, 1, 0, 0)
+    w = (24, -50, 35, -10, 1)  # (x-1)(x-2)(x-3)(x-4)
+    p = IntPolynomial([a + 2**62 * b for a, b in zip(q, w)])
+    n = 4
+    vals = [p.eval(x) for x in range(1, n + 1)]
+    assert vals == [6, 4, 4, 6] and max(abs(c) for c in p.coeffs) > 2**63
+    for a, b in [(1, 1), (2, 3), (3, 2), (2, 1)]:
+        exact = sorted(_integral_points_exact(p, a, b, n, vals))
+        brute = sorted(
+            (x, y)
+            for x in range(1, n + 1)
+            for y in range(1, n + 1)
+            if a * vals[x - 1] == b * vals[y - 1]
+        )
+        assert integral_points(p, a, b, n) == exact == brute, (a, b)
+    assert integral_points(p, 2, 3, n) == [(1, 2), (1, 3), (4, 2), (4, 3)]
 
 
 def test_validation():

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from polyrmf.errors import DomainError
 from polyrmf.poly import (
     IRREDUCIBLE_QUADRATIC,
     LINEAR_FACTORS,
@@ -15,7 +17,11 @@ from polyrmf.poly import (
     is_admissible,
     roots_mod,
     roots_mod_prime,
+    value_range,
+    values_int64,
 )
+
+_SMALL_PRIMES = tuple(sympy.primerange(2, 212))
 
 
 def test_construction_trims_and_validates():
@@ -216,6 +222,107 @@ def test_count_roots_mod_prime_square_brute():
             m = p * p
             expected = sum(1 for x in range(m) if poly.eval(x) % m == 0)
             assert count_roots_mod_prime_square(poly, p) == expected
+
+
+def test_count_roots_mod_prime_square_past_int64_cubes():
+    # p**3 > 2**63 here; the lift must still find both roots of -1 mod p**2
+    p = 4000037
+    assert p % 4 == 1
+    assert count_roots_mod_prime_square(IntPolynomial((1, 0, 1)), p) == 2
+    roots = roots_mod(IntPolynomial((1, 0, 1)), p * p)
+    assert len(roots) == 2 and all((r * r + 1) % (p * p) == 0 for r in roots)
+
+
+def _roots_mod_square_scan(coeffs, p):
+    m = p * p
+    x = np.arange(m, dtype=np.int64)
+    acc = np.zeros(m, dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = (acc * x + c % m) % m
+    return np.nonzero(acc == 0)[0].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=5),
+    st.sampled_from((1, 1, 1, 2, 3, 4, 9, 25, 49)),
+    st.sampled_from(_SMALL_PRIMES),
+)
+def test_roots_mod_prime_square_brute_force_hypothesis(coeffs, content, p):
+    # degrees 1-4, with content primes and prime squares mixed in
+    if coeffs[-1] == 0:
+        coeffs = coeffs[:-1] + [1]
+    coeffs = [content * c for c in coeffs]
+    poly = IntPolynomial(coeffs)
+    expected = _roots_mod_square_scan(coeffs, p)
+    assert count_roots_mod_prime_square(poly, p) == len(expected)
+    assert list(roots_mod(poly, p * p)) == expected
+
+
+def _wrap64(v):
+    return (v + 2**63) % 2**64 - 2**63
+
+
+@given(
+    st.lists(st.integers(-2**70, 2**70), min_size=2, max_size=7),
+    st.integers(-10**6, 10**6),
+    st.integers(1, 40),
+)
+def test_values_int64_is_horner_mod_2_64_hypothesis(coeffs, lo, length):
+    if coeffs[-1] == 0:
+        coeffs = coeffs[:-1] + [1]
+    poly = IntPolynomial(coeffs)
+    got = values_int64(poly, lo, lo + length)
+    assert got.dtype == np.int64
+    assert got.tolist() == [_wrap64(poly.eval(n)) for n in range(lo, lo + length)]
+
+
+@given(
+    st.lists(st.integers(-200, 200), min_size=2, max_size=7),
+    st.integers(-2**70, 2**70),
+    st.integers(-50, 50),
+    st.integers(1, 6),
+)
+def test_values_int64_exact_with_huge_cancelling_coefficients_hypothesis(small, k, lo, length):
+    # P = Q + k * (x - lo)(x - lo - 1)...: huge coefficients, P = Q on the range
+    if small[-1] == 0:
+        small = small[:-1] + [1]
+    vanish = IntPolynomial((-lo, 1))
+    for n in range(lo + 1, lo + length):
+        vanish = vanish * IntPolynomial((-n, 1))
+    width = max(len(small), len(vanish.coeffs))
+    q = small + [0] * (width - len(small))
+    w = list(vanish.coeffs) + [0] * (width - len(vanish.coeffs))
+    coeffs = [a + k * b for a, b in zip(q, w)]
+    if all(c == 0 for c in coeffs[1:]):
+        return
+    poly = IntPolynomial(coeffs)
+    exact = [poly.eval(n) for n in range(lo, lo + length)]
+    assert all(-(2**63) <= v < 2**63 for v in exact)
+    assert values_int64(poly, lo, lo + length).tolist() == exact
+
+
+@given(
+    st.lists(st.integers(-1000, 1000), min_size=2, max_size=6),
+    st.integers(-300, 300),
+    st.integers(0, 300),
+)
+def test_value_range_matches_brute_force_hypothesis(coeffs, lo, width):
+    # degrees 1-5; ties resolve to the smallest n
+    if coeffs[-1] == 0:
+        coeffs = coeffs[:-1] + [1]
+    poly = IntPolynomial(coeffs)
+    vals = [(poly.eval(n), n) for n in range(lo, lo + width + 1)]
+    low = min(vals, key=lambda vn: vn[0])
+    high = max(vals, key=lambda vn: vn[0])
+    assert value_range(poly, lo, lo + width) == (low, high)
+
+
+def test_value_range_past_float_range():
+    big = IntPolynomial((3, 0, 10**400))
+    assert value_range(big, -2, 5) == ((3, 0), (25 * 10**400 + 3, 5))
+    with pytest.raises(DomainError):  # P' = 2x + 10**400 has no float form
+        value_range(IntPolynomial((0, 10**400, 1)), 1, 10)
 
 
 def test_roots_mod_crt_consistency():

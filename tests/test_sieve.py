@@ -5,15 +5,13 @@ import pytest
 import sympy
 
 from polyrmf.errors import DomainError
-from polyrmf.poly import IntPolynomial
+from polyrmf.poly import IntPolynomial, value_range
 from polyrmf.sieve import (
     LargestPrimeStats,
     ValueRecord,
     ValueTable,
     kappa_euler,
     largest_prime_stats,
-    max_value_on_range,
-    min_value_on_range,
     sieve_values,
     smooth_count,
     squarefree_count,
@@ -65,11 +63,12 @@ def test_unit_rows():
 
 
 def test_object_path_small_range_with_huge_coefficients():
-    # the cancelling coefficients overflow int64 intermediates, forcing the
-    # exact big-integer path, while the value itself stays tiny
+    # the cancelling coefficients overflow int64 intermediates while the
+    # value itself stays tiny; the wrapping evaluation still gets it exactly
     p = IntPolynomial((50 - 2**62, 2**62))  # P(1) = 50
     t = sieve_values(p, 1)
-    assert isinstance(t.values, list)
+    for col in (t.values, t.largest, t.flat_primes):
+        assert isinstance(col, np.ndarray) and col.dtype == np.int64
     rec = t.record(1)
     assert rec.value == 50
     assert rec.factors == ((2, 1), (5, 2))
@@ -79,6 +78,8 @@ def test_object_path_small_range_with_huge_coefficients():
 def test_huge_values_raise_domain_error():
     with pytest.raises(DomainError):
         sieve_values(IntPolynomial((1 + 2**70, 0, 1)), 40)
+    with pytest.raises(DomainError, match="values reach"):
+        sieve_values(IntPolynomial((1, 0, 10**400)), 3)  # past float range too
 
 
 def test_negative_values_raise_domain_error():
@@ -102,6 +103,15 @@ def test_from_records_validates_coverage(x2p1):
     recs = [r for r in t if r.n != 3]
     with pytest.raises(ValueError):
         ValueTable.from_records(x2p1, recs)
+
+
+def test_from_records_rejects_values_past_int64_range():
+    p = IntPolynomial((0, 1))
+    ok = ValueRecord(1, 2**62 - 1, ((3, 1), (715827883, 1), (2147483647, 1)), True, 2147483647)
+    assert ValueTable.from_records(p, [ok]).values.tolist() == [2**62 - 1]
+    big = ValueRecord(1, 2**62, ((2, 62),), False, 2)
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        ValueTable.from_records(p, [big])
 
 
 def test_kappa_euler_quadratic_oracle(x2p1):
@@ -164,11 +174,10 @@ def test_smooth_count_validates():
 
 def test_extrema_on_range():
     p = IntPolynomial((10, -6, 1))  # vertex at 3
-    assert min_value_on_range(p, 1, 5) == (1, 3)
-    assert max_value_on_range(p, 1, 5)[0] == 5
+    assert value_range(p, 1, 5)[0] == (1, 3)
+    assert value_range(p, 1, 5)[1][0] == 5
     q = IntPolynomial((0, 1))
-    assert min_value_on_range(q, 4, 9) == (4, 4)
-    assert max_value_on_range(q, 4, 9) == (9, 9)
+    assert value_range(q, 4, 9) == ((4, 4), (9, 9))
 
 
 def test_prime_index_consistency(x2p1):
