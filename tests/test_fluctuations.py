@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -125,6 +126,79 @@ def test_invariants_hold_on_larger_ladder():
     sets = build_prime_class_sets(scales, c=0.01)
     checks = sets.verify_invariants()
     assert all(checks.values()), checks
+
+
+def _small_sets():
+    scales = scale_set(16, 4, GEOMETRIC, cap=600)
+    return build_prime_class_sets(scales, c=0.05)
+
+
+def _with_set(sets, i, primes):
+    prime_sets = list(sets.prime_sets)
+    prime_sets[i] = np.sort(np.asarray(primes, dtype=np.int64))
+    return dataclasses.replace(sets, prime_sets=tuple(prime_sets))
+
+
+def _shared_prime(sets):
+    # the last scale gets a prime of the first scale
+    return _with_set(sets, 3, np.append(sets.prime_sets[3], sets.prime_sets[0][0]))
+
+
+def _low_threshold(sets):
+    # every first-scale prime is now below c * x_1 * log x_1
+    return dataclasses.replace(sets, c=1.0)
+
+
+def _two_witnesses(sets):
+    # a prime p = 1 mod 4 below x_4 divides n^2 + 1 at n and at p - n
+    x = sets.scales.xs[3]
+    theta = sets.c * x * math.log(x)
+    used = set(np.concatenate(sets.prime_sets).tolist())
+    p = next(q for q in sympy.primerange(math.ceil(theta), x) if q % 4 == 1 and q not in used)
+    return _with_set(sets, 3, np.append(sets.prime_sets[3], p))
+
+
+def _stale_prime(sets):
+    # move a first-scale prime, witnessed below x_1, to the second scale
+    p = sets.prime_sets[0][0]
+    moved = _with_set(sets, 0, sets.prime_sets[0][1:])
+    return _with_set(moved, 1, np.append(sets.prime_sets[1], p))
+
+
+def _shared_value(sets):
+    # add a second prime factor of a witness value to the same set
+    for p, n in zip(sets.prime_sets[3].tolist(), sets.first_occurrence[3].tolist()):
+        others = [q for q in sympy.factorint(n * n + 1) if q != p]
+        if others:
+            return _with_set(sets, 3, np.append(sets.prime_sets[3], max(others)))
+    raise AssertionError("every witness value is prime")
+
+
+def _dropped_row(sets):
+    return dataclasses.replace(
+        sets, class1_rows=(sets.class1_rows[0][1:],) + sets.class1_rows[1:]
+    )
+
+
+@pytest.mark.parametrize(
+    "flag, corrupt",
+    [
+        ("disjoint", _shared_prime),
+        ("threshold", _low_threshold),
+        ("single_witness", _two_witnesses),
+        ("fresh", _stale_prime),
+        ("no_shared_value", _shared_value),
+        ("partition", _dropped_row),
+    ],
+)
+def test_invariants_catch_corruption(flag, corrupt):
+    sets = _small_sets()
+    assert all(sets.verify_invariants().values())
+    checks = corrupt(sets).verify_invariants()
+    assert set(checks) == {
+        "disjoint", "threshold", "single_witness", "fresh", "no_shared_value", "partition"
+    }
+    assert checks[flag] is False, checks
 
 
 def test_build_validation(x2p1):
