@@ -133,6 +133,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object")
         known = {o.name for o in spec}
         unknown = set(file_cfg) - known
         if unknown:
@@ -142,7 +144,12 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         v = getattr(args, opt.name)
         if v is None and opt.name in file_cfg:
             raw = file_cfg[opt.name]
-            v = bool(raw) if opt.type is bool else opt.type(raw)
+            # JSON true/false parse as bool, a subclass of int: only bool options take them
+            accepted = (int, float) if opt.type is float else opt.type
+            if not isinstance(raw, accepted) or isinstance(raw, bool) != (opt.type is bool):
+                raise ValueError(f"config key {opt.name} must be {opt.type.__name__}, "
+                                 f"got {json.dumps(raw)}")
+            v = opt.type(raw)
             if opt.choices and v not in opt.choices:
                 raise ValueError(f"{opt.name} must be one of {opt.choices}")
         if v is None:

@@ -8,6 +8,12 @@ the partial sum at scale i splits exactly into the rows seeing one A_i prime,
 the rows seeing some other scale's prime, and the untouched rows. The first
 piece behaves like an independent block across scales, which is what the
 studentized-maximum statistic exercises.
+
+Every sum of f over rows goes through rmf.trial_sums with the sparse
+row-to-group matrix PrimeClassSets.groups. For k scales it has 4k columns:
+columns 3i, 3i + 1 and 3i + 2 hold the rows of classes 1, 2 and 3 at scale
+i + 1, and column 3k + i holds the band of rows [x_i, x_{i+1}) (with
+x_0 = 0), whose cumulative sums are the partial sums at each scale.
 """
 from __future__ import annotations
 
@@ -15,10 +21,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InfeasibleScaleError
 from .poly import IntPolynomial
-from .rmf import RADEMACHER, RmfSampler, _f_values_vector, derive_seed
+from .rmf import RADEMACHER, RmfSampler, derive_seeds, trial_sums
 from .sieve import ValueTable, sieve_values
 
 THEORETICAL = "theoretical"
@@ -152,9 +159,8 @@ def _multi_slice(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class PrimeClassSets:
     """Disjoint per-scale prime sets and the induced row partition.
 
-    bitmask[n-1] has bit i set when some A_{i+1} prime divides n^2 + 1;
-    acount[n-1] counts the distinct scale primes dividing it. class*_rows
-    are 0-based row indices below the matching scale.
+    groups is the 0/1 CSC matrix of 0-based table rows by the 4k class and
+    band columns laid out in the module docstring.
     """
 
     scales: ScaleSet
@@ -164,60 +170,59 @@ class PrimeClassSets:
     first_occurrence: tuple[np.ndarray, ...]
     sizes: tuple[int, ...]
     candidate_sizes: tuple[int, ...]
-    bitmask: np.ndarray
-    acount: np.ndarray
-    class1_rows: tuple[np.ndarray, ...] = field(repr=False, default=())
-    class2_rows: tuple[np.ndarray, ...] = field(repr=False, default=())
-    class3_rows: tuple[np.ndarray, ...] = field(repr=False, default=())
+    groups: sparse.csc_matrix = field(repr=False)
     class1_sf: tuple[int, ...] = ()
 
     def verify_invariants(self) -> dict[str, bool]:
-        """Recheck every set invariant directly against the table."""
-        t = self.table
-        xs = self.scales.xs
-        lengths = np.diff(t.row_ptr)
-        rows = np.repeat(np.arange(t.n_max, dtype=np.int64), lengths)
-        fp = t.flat_primes
-        ok = {
-            "disjoint": True,
-            "threshold": True,
-            "single_witness": True,
-            "fresh": True,
-            "no_shared_value": True,
-            "partition": True,
+        """Recheck every set invariant directly against the table.
+
+        A prime in two sets fails "disjoint" and is checked only in the first.
+        """
+        t, xs, k = self.table, np.array(self.scales.xs), len(self.scales.xs)
+        theta = np.array([self.c * x * math.log(x) for x in self.scales.xs])
+        allp = np.concatenate(self.prime_sets)
+        scale_of = np.repeat(np.arange(k), [len(a) for a in self.prime_sets])
+        order = np.argsort(allp, kind="stable")
+        sorted_p = allp[order]
+        # label every factor entry of the table with the scale of its prime;
+        # the sentinel 0 past the end matches no prime
+        pos = np.searchsorted(sorted_p, t.flat_primes)
+        hit = np.nonzero(np.append(sorted_p, 0)[pos] == t.flat_primes)[0]
+        label = scale_of[order[pos[hit]]]
+        rows = np.searchsorted(t.row_ptr, hit, side="right") - 1
+        below = rows < xs[label]
+        _, per_prime = np.unique(t.flat_primes[hit[below]], return_counts=True)
+        _, per_row = np.unique(rows[below] * k + label[below], return_counts=True)
+        g = self.groups
+        classes = [g.indices[g.indptr[3 * i]:g.indptr[3 * i + 3]] for i in range(k)]
+        partition = all(
+            len(r) == x and (np.bincount(r, minlength=x) == 1).all()
+            for r, x in zip(classes, self.scales.xs)
+        )
+        return {
+            "disjoint": not (sorted_p[1:] == sorted_p[:-1]).any(),
+            "threshold": bool((allp > theta[scale_of]).all()),
+            "single_witness": len(per_prime) == len(allp) and bool((per_prime == 1).all()),
+            "fresh": bool((rows >= np.append(0, xs[:-1])[label]).all()),
+            "no_shared_value": bool((per_row == 1).all()),
+            "partition": bool(partition),
         }
-        for i in range(len(xs)):
-            for j in range(i):
-                if len(np.intersect1d(self.prime_sets[i], self.prime_sets[j])):
-                    ok["disjoint"] = False
-        for idx, x in enumerate(xs):
-            a = self.prime_sets[idx]
-            prev = xs[idx - 1] if idx else 0
-            theta = self.c * x * math.log(x)
-            if len(a) and a.min() <= theta:
-                ok["threshold"] = False
-            if len(a):
-                sel = np.isin(fp, a)
-                sub_rows = rows[sel]
-                sub_p = fp[sel]
-                m = sub_rows < x
-                u, cnt = np.unique(sub_p[m], return_counts=True)
-                if len(u) != len(a) or not (cnt == 1).all():
-                    ok["single_witness"] = False
-                if (sub_rows < prev).any():
-                    ok["fresh"] = False
-                _, rc = np.unique(sub_rows[m], return_counts=True)
-                if len(rc) and rc.max() > 1:
-                    ok["no_shared_value"] = False
-            c1, c2, c3 = (
-                self.class1_rows[idx],
-                self.class2_rows[idx],
-                self.class3_rows[idx],
-            )
-            union = np.concatenate((c1, c2, c3))
-            if len(union) != x or len(np.unique(union)) != x:
-                ok["partition"] = False
-        return ok
+
+
+def _group_columns(bitmask: np.ndarray, acount: np.ndarray, xs: tuple[int, ...]):
+    """Row indices of each groups column, in the order of the module docstring.
+
+    bitmask[n-1] has bit i set when some A_{i+1} prime divides n^2 + 1, and
+    acount[n-1] counts the distinct scale primes dividing it.
+    """
+    for idx, x in enumerate(xs):
+        bit = np.uint64(1 << idx)
+        b = bitmask[:x]
+        yield np.nonzero((b == bit) & (acount[:x] == 1))[0]
+        yield np.nonzero((b & ~bit) != 0)[0]
+        yield np.nonzero(b == 0)[0]
+    for lo, x in zip((0,) + xs[:-1], xs):
+        yield np.arange(lo, x)
 
 
 def build_prime_class_sets(
@@ -261,19 +266,17 @@ def build_prime_class_sets(
         occ_rows = occ_n[occ_n <= xk] - 1
         np.bitwise_or.at(bitmask, occ_rows, np.uint64(1 << idx))
         np.add.at(acount, occ_rows, 1)
-    c1_rows, c2_rows, c3_rows, c1_sf = [], [], [], []
-    sf = np.asarray(table.is_squarefree)
-    for idx, x in enumerate(xs):
-        bit = np.uint64(1 << idx)
-        b = bitmask[:x]
-        others = (b & ~bit) != 0
-        c1 = np.nonzero((b == bit) & (acount[:x] == 1))[0]
-        c2 = np.nonzero(others)[0]
-        c3 = np.nonzero(b == 0)[0]
-        c1_rows.append(c1)
-        c2_rows.append(c2)
-        c3_rows.append(c3)
-        c1_sf.append(int(sf[c1].sum()))
+    # the three classes of a scale are disjoint, so sum(xs) + xk bounds the
+    # entries; csc_matrix keeps the int32 indices unless indptr outgrows them
+    indices = np.empty(sum(xs) + xk, dtype=np.int32)
+    indptr = np.zeros(4 * len(xs) + 1, dtype=np.int64)
+    for j, rows in enumerate(_group_columns(bitmask, acount, xs)):
+        indptr[j + 1] = indptr[j] + len(rows)
+        indices[indptr[j]:indptr[j + 1]] = rows
+    groups = sparse.csc_matrix(
+        (np.ones(indptr[-1]), indices[:indptr[-1]], indptr), shape=(table.n_max, 4 * len(xs))
+    )
+    sf_counts = groups.T @ np.asarray(table.is_squarefree, dtype=np.float64)
     return PrimeClassSets(
         scales=scales,
         c=c,
@@ -282,12 +285,8 @@ def build_prime_class_sets(
         first_occurrence=tuple(first_occ),
         sizes=tuple(len(a) for a in prime_sets),
         candidate_sizes=tuple(cand_sizes),
-        bitmask=bitmask,
-        acount=acount,
-        class1_rows=tuple(c1_rows),
-        class2_rows=tuple(c2_rows),
-        class3_rows=tuple(c3_rows),
-        class1_sf=tuple(c1_sf),
+        groups=groups,
+        class1_sf=tuple(int(n) for n in sf_counts[0:3 * len(xs):3]),
     )
 
 
@@ -302,19 +301,11 @@ def three_sum_decomposition(
     k = len(sets.scales.xs)
     if not 1 <= scale_index <= k:
         raise ValueError(f"scale_index must be in [1, {k}]")
-    idx = scale_index - 1
-    v = _f_values_vector(sampler.seed, sets.table, sampler.model)
-    parts = tuple(
-        v[rows_i].sum()
-        for rows_i in (
-            sets.class1_rows[idx],
-            sets.class2_rows[idx],
-            sets.class3_rows[idx],
-        )
-    )
+    cols = sets.groups[:, 3 * scale_index - 3:3 * scale_index]
+    parts = trial_sums(sets.table, [sampler.seed], sampler.model, cols)[0]
     if sampler.model == RADEMACHER:
         return tuple(int(round(float(p))) for p in parts)
-    return parts
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -375,21 +366,10 @@ def lil_scan(
     if thresholds is None:
         thresholds = (math.sqrt(math.log(k)),)
     xarr = np.array(xs, dtype=np.int64)
-    s1 = np.zeros((trials, k))
-    s2 = np.zeros((trials, k))
-    s3 = np.zeros((trials, k))
-    msum = np.zeros((trials, k))
-    partition_exact = True
-    for t in range(trials):
-        v = _f_values_vector(derive_seed(seed, t), sets.table, RADEMACHER)
-        cums = np.cumsum(v)
-        msum[t] = cums[xarr - 1]
-        for i in range(k):
-            s1[t, i] = v[sets.class1_rows[i]].sum()
-            s2[t, i] = v[sets.class2_rows[i]].sum()
-            s3[t, i] = v[sets.class3_rows[i]].sum()
-        if not np.array_equal(s1[t] + s2[t] + s3[t], msum[t]):
-            partition_exact = False
+    sums = trial_sums(sets.table, derive_seeds(seed, trials), RADEMACHER, sets.groups)
+    s1, s2, s3 = (sums[:, j:3 * k:3] for j in range(3))
+    msum = np.cumsum(sums[:, 3 * k:], axis=1)
+    partition_exact = np.array_equal(s1 + s2 + s3, msum)
     lnln = np.log(np.log(xarr.astype(np.float64)))
     norm_stat = np.abs(msum) / np.sqrt(xarr * lnln)
     sigma = s1.std(axis=0, ddof=1)

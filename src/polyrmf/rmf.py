@@ -6,6 +6,9 @@ order dependence, and the scalar and vectorized paths are bit-identical.
 Rademacher samplers give f(p) = +-1 i.i.d. with f supported on squarefree
 values; Steinhaus samplers give f(p) uniform on the unit circle extended
 completely multiplicatively.
+
+trial_sums is the one place f is summed: for each trial seed it multiplies
+the f-values of all rows by a sparse 0/1 row-to-group incidence matrix.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.special import ndtr
 
 from .errors import DomainError
@@ -58,6 +62,12 @@ def derive_seed(seed: int, index: int) -> int:
     if index < 0:
         raise ValueError("index must be >= 0")
     return mix64((seed + (index + 1) * _GOLDEN) & _MASK)
+
+
+def derive_seeds(seed: int, count: int) -> list[int]:
+    """derive_seed(seed, t) for t = 0..count-1, in one vector pass."""
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return _mix64_u64(steps + np.uint64(seed & _MASK)).tolist()
 
 
 def _angle_fraction(h: int) -> float:
@@ -155,12 +165,31 @@ def _f_values_vector(seed: int, table: ValueTable, model: str) -> np.ndarray:
     return out
 
 
+def trial_sums(table: ValueTable, seeds, model: str, groups=None) -> np.ndarray:
+    """Group sums of f(P(n)), one row per trial seed: shape (len(seeds), n_groups).
+
+    groups is a scipy.sparse 0/1 matrix, table rows by groups, and row t is
+    groups.T @ f for seeds[t]; groups=None is one group of all rows. A row
+    depends on its own seed only, so the result does not depend on trial
+    order. Rademacher sums are integers, exact in float64.
+    """
+    if model not in _MODELS:
+        raise ValueError(f"model must be one of {_MODELS}")
+    dtype = np.float64 if model == RADEMACHER else np.complex128
+    n_groups = 1 if groups is None else groups.shape[1]
+    out = np.zeros((len(seeds), n_groups), dtype=dtype)
+    for t, seed in enumerate(seeds):
+        v = _f_values_vector(int(seed), table, model)
+        out[t] = v.sum() if groups is None else groups.T @ v
+    return out
+
+
 def partial_sum(sampler: RmfSampler, table: ValueTable):
     """Sum of f(P(n)) over n = 1..N: exact int for Rademacher."""
-    v = _f_values_vector(sampler.seed, table, sampler.model)
+    s = trial_sums(table, [sampler.seed], sampler.model)[0, 0]
     if sampler.model == RADEMACHER:
-        return int(round(float(v.sum())))
-    return complex(v.sum())
+        return int(round(float(s)))
+    return complex(s)
 
 
 def partial_sum_by_class(sampler: RmfSampler, table: ValueTable) -> dict:
@@ -170,18 +199,12 @@ def partial_sum_by_class(sampler: RmfSampler, table: ValueTable) -> dict:
     dict values sum to partial_sum exactly; non-squarefree rows contribute
     zero under the Rademacher model but land in their class regardless.
     """
-    v = _f_values_vector(sampler.seed, table, sampler.model)
     u, invc = np.unique(table.largest, return_inverse=True)
-    sums = np.zeros(len(u), dtype=v.dtype)
-    np.add.at(sums, invc, v)
-    result: dict = {}
-    for lp, s in zip(u.tolist(), sums.tolist()):
-        key = None if lp == 0 else int(lp)
-        if sampler.model == RADEMACHER:
-            result[key] = int(round(s))
-        else:
-            result[key] = s
-    return result
+    labels = sparse.csc_matrix((np.ones(len(invc)), (np.arange(len(invc)), invc)))
+    sums = trial_sums(table, [sampler.seed], sampler.model, labels)[0].tolist()
+    if sampler.model == RADEMACHER:
+        sums = [int(round(s)) for s in sums]
+    return {None if lp == 0 else lp: s for lp, s in zip(u.tolist(), sums)}
 
 
 @dataclass(frozen=True)
@@ -266,13 +289,7 @@ def monte_carlo_clt(
             raise DomainError("partial sum is identically zero on this range")
         normalizer = float(np.sqrt(b))
 
-    if model == RADEMACHER:
-        raw = np.zeros(trials, dtype=np.float64)
-    else:
-        raw = np.zeros(trials, dtype=np.complex128)
-    base = RmfSampler(seed, model)
-    for t in range(trials):
-        raw[t] = _f_values_vector(base.derive(t).seed, table, model).sum()
+    raw = trial_sums(table, derive_seeds(seed, trials), model)[:, 0]
     z = raw / normalizer
     if model == RADEMACHER:
         mean_real, mean_imag = float(z.mean()), 0.0

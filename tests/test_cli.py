@@ -185,6 +185,52 @@ def test_flags_override_config_file(capsys, tmp_path):
     assert env["config"]["n_max"] == 100
 
 
+@pytest.mark.parametrize(
+    "cfg_json",
+    [
+        {"verify": "false"},
+        {"verify": 0},
+        {"trials": 2.9},
+        {"trials": "3"},
+        {"scales": True},
+        {"c": True},
+        {"c": "0.5"},
+        {"mode": 1},
+        {"scale_csv": None},
+    ],
+)
+def test_config_file_types_are_checked(capsys, tmp_path, cfg_json):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_json))
+    code, _, err = run(capsys, "fluctuations", "--config", str(cfg), "--dry-run")
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError"
+    assert next(iter(cfg_json)) in error["message"]
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[]", '"poly"'])
+def test_config_file_must_hold_an_object(capsys, tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, _, err = run(capsys, "smooth", "--config", str(cfg), "--dry-run")
+    assert code == 2
+    assert "JSON object" in json.loads(err)["error"]["message"]
+
+
+def test_config_file_types_accepted(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verify": False, "trials": 3, "scales": 4, "c": 1,
+                               "mode": "geometric"}))
+    env = run_json(capsys, "fluctuations", "--config", str(cfg), "--dry-run")
+    resolved = env["config"]
+    assert resolved["verify"] is False
+    assert resolved["trials"] == 3
+    assert resolved["scales"] == 4
+    assert resolved["c"] == 1.0 and isinstance(resolved["c"], float)
+    assert resolved["mode"] == "geometric"
+
+
 def test_unknown_config_key_rejected(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"poly": "1,0,1", "n_max": 40, "bogus": 1}))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import sympy
+from scipy import sparse
 
 from polyrmf.errors import InfeasibleScaleError
 from polyrmf.fluctuations import (
@@ -16,7 +17,7 @@ from polyrmf.fluctuations import (
     threshold_primes,
 )
 from polyrmf.poly import IntPolynomial
-from polyrmf.rmf import RmfSampler, _f_values_vector, f_value
+from polyrmf.rmf import RmfSampler, derive_seeds, f_value, trial_sums
 from polyrmf.sieve import sieve_values
 
 
@@ -105,6 +106,11 @@ def _brute_sets(xs, c, cap):
     return sets, cand_sizes, classes
 
 
+def _column_rows(sets, j):
+    g = sets.groups
+    return g.indices[g.indptr[j]:g.indptr[j + 1]].tolist()
+
+
 def test_class_sets_match_brute_force():
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
     sets = build_prime_class_sets(scales, c=0.05)
@@ -116,9 +122,12 @@ def test_class_sets_match_brute_force():
         for p, n in zip(sets.prime_sets[i], first):
             assert (n * n + 1) % p == 0
         c1, c2, c3 = brute_classes[i]
-        assert sets.class1_rows[i].tolist() == c1
-        assert sets.class2_rows[i].tolist() == c2
-        assert sets.class3_rows[i].tolist() == c3
+        assert _column_rows(sets, 3 * i) == c1
+        assert _column_rows(sets, 3 * i + 1) == c2
+        assert _column_rows(sets, 3 * i + 2) == c3
+        lo = scales.xs[i - 1] if i else 0
+        assert _column_rows(sets, 12 + i) == list(range(lo, scales.xs[i]))
+    assert sets.groups.shape == (600, 16)
 
 
 def test_invariants_hold_on_larger_ladder():
@@ -167,17 +176,19 @@ def _stale_prime(sets):
 
 def _shared_value(sets):
     # add a second prime factor of a witness value to the same set
+    used = set(np.concatenate(sets.prime_sets).tolist())
     for p, n in zip(sets.prime_sets[3].tolist(), sets.first_occurrence[3].tolist()):
-        others = [q for q in sympy.factorint(n * n + 1) if q != p]
+        others = [q for q in sympy.factorint(n * n + 1) if q != p and q not in used]
         if others:
             return _with_set(sets, 3, np.append(sets.prime_sets[3], max(others)))
     raise AssertionError("every witness value is prime")
 
 
 def _dropped_row(sets):
-    return dataclasses.replace(
-        sets, class1_rows=(sets.class1_rows[0][1:],) + sets.class1_rows[1:]
-    )
+    # row 0 leaves every class column of the first scale
+    g = sets.groups.toarray()
+    g[0, :3] = 0
+    return dataclasses.replace(sets, groups=sparse.csc_matrix(g))
 
 
 @pytest.mark.parametrize(
@@ -248,17 +259,10 @@ def test_single_prime_sum_second_moment(x2p1):
 
 
 def test_single_prime_sums_uncorrelated_across_scales(x2p1):
-    from polyrmf.rmf import derive_seed
-
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
     t = sieve_values(x2p1, 600)
     sets = build_prime_class_sets(scales, c=0.05, table=t)
-    trials = 1500
-    s1 = np.zeros((trials, 4))
-    for tr in range(trials):
-        v = _f_values_vector(derive_seed(9, tr), t, "rademacher")
-        for i in range(4):
-            s1[tr, i] = v[sets.class1_rows[i]].sum()
+    s1 = trial_sums(t, derive_seeds(9, 1500), "rademacher", sets.groups[:, 0:12:3])
     sd = s1.std(axis=0)
     for i in range(4):
         for j in range(i):

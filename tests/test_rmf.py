@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from polyrmf.errors import DomainError
 from polyrmf.moments import fourth_moment_exact, second_moment_exact
@@ -12,12 +13,14 @@ from polyrmf.rmf import (
     RmfSampler,
     _f_values_vector,
     derive_seed,
+    derive_seeds,
     f_value,
     mix64,
     monte_carlo_clt,
     partial_sum,
     partial_sum_by_class,
     prime_hash,
+    trial_sums,
 )
 from polyrmf.sieve import sieve_values
 
@@ -95,6 +98,49 @@ def test_scalar_and_vector_paths_agree():
         vecs = _f_values_vector(st.seed, t, "steinhaus")
         scas = np.array([f_value(st, rec) for rec in t], dtype=complex)
         assert np.allclose(vecs, scas, atol=1e-12)
+
+
+def test_derive_seeds_matches_derive_seed():
+    for seed in (0, 7, -1, (1 << 64) + 5):
+        assert derive_seeds(seed, 6) == [derive_seed(seed, t) for t in range(6)]
+    assert derive_seeds(3, 0) == []
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 1), (0, 1, 1), (0, 0, 1)])
+@pytest.mark.parametrize("model", ["rademacher", "steinhaus"])
+def test_trial_sums_match_scalar_oracle(coeffs, model):
+    t = sieve_values(IntPolynomial(coeffs), 200)
+    member = np.random.default_rng(len(coeffs) + coeffs[0]).random((200, 5)) < 0.3
+    groups = sparse.csc_array(member.astype(np.float64))
+    seeds = [3, 1 << 40, 99]
+    got = trial_sums(t, seeds, model, groups)
+    whole = trial_sums(t, seeds, model)
+    assert got.shape == (3, 5) and whole.shape == (3, 1)
+    for row, seed in enumerate(seeds):
+        s = RmfSampler(seed, model)
+        f = [f_value(s, rec) for rec in t]
+        want = [sum(f[n] for n in range(200) if member[n, j]) for j in range(5)]
+        if model == "rademacher":
+            assert got[row].tolist() == want
+            assert whole[row, 0] == sum(f)
+        else:
+            assert np.allclose(got[row], want, atol=1e-9)
+            assert np.allclose(whole[row, 0], sum(f), atol=1e-9)
+
+
+def test_trial_sums_do_not_depend_on_trial_order(table_1e3):
+    groups = sparse.csc_array(
+        (np.random.default_rng(1).random((1000, 4)) < 0.5).astype(np.float64)
+    )
+    seeds = derive_seeds(5, 12)
+    for model in ("rademacher", "steinhaus"):
+        full = trial_sums(table_1e3, seeds, model, groups)
+        assert np.array_equal(trial_sums(table_1e3, seeds[::-1], model, groups), full[::-1])
+        pick = [7, 2, 11]
+        subset = trial_sums(table_1e3, [seeds[i] for i in pick], model, groups)
+        assert np.array_equal(subset, full[pick])
+    with pytest.raises(ValueError):
+        trial_sums(table_1e3, seeds, "gaussian")
 
 
 def test_partial_sum_by_class_partitions(x2p1, table_1e3):
