@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from polyrmf.errors import DomainError
 from polyrmf.poly import IntPolynomial, value_range
@@ -185,3 +186,51 @@ def test_prime_index_consistency(x2p1):
     primes, inverse = t.prime_index()
     assert np.array_equal(primes[inverse], t.flat_primes)
     assert np.array_equal(primes, np.unique(t.flat_primes))
+
+
+# named shapes the random draw rarely hits: a content prime (roots_mod_prime
+# returns range(p) for p = 2), a repeated factor, a monomial power (high
+# powers of 2) and an irreducible cubic
+_SIEVE_SHAPES = (
+    (2, 2, 2),  # 2x^2 + 2x + 2
+    (3, 7, 5, 1),  # (x + 1)^2 (x + 3)
+    (0, 0, 1),  # x^2
+    (0, 0, 0, 0, 1),  # x^4
+    (1, 1, 0, 1),  # x^3 + x + 1
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(_SIEVE_SHAPES),
+        st.lists(st.integers(-9, 9), min_size=2, max_size=5),
+    ),
+    st.sampled_from((1, 1, 1, 2, 3, 4, 6, 9)),
+    st.integers(1, 400),
+)
+def test_sieve_values_match_factorint_hypothesis(coeffs, content, N):
+    # degrees 1-4. N is halved until |P| stays below 10**8 on [1, N]: past
+    # that, root finding for degree 3 and 4 scans every residue of each prime
+    # up to 10**4 and beyond. A polynomial that dips below 1 is then shifted up.
+    coeffs = [content * c for c in coeffs]
+    if coeffs[-1] == 0:
+        coeffs[-1] = content
+    P = IntPolynomial(coeffs)
+    while True:
+        (minv, _), (maxv, _) = value_range(P, 1, N)
+        if max(-minv, maxv) <= 10**8:
+            break
+        N //= 2
+    if minv < 1:
+        P = IntPolynomial([coeffs[0] + 1 - minv] + coeffs[1:])
+    t = sieve_values(P, N)
+    assert t.flat_exps.dtype == np.int16
+    for n in range(1, N + 1):
+        rec = t.record(n)
+        value = P(n)
+        ref = sympy.factorint(value) if value > 1 else {}
+        assert rec.value == value
+        assert rec.factors == tuple(sorted(ref.items()))
+        assert rec.is_squarefree == all(e == 1 for e in ref.values())
+        assert rec.largest_prime == (max(ref) if ref else None)
