@@ -2,11 +2,13 @@
 
 sieve_values finds, for every prime p up to sqrt(max value), the arithmetic
 progressions n = r (mod p) on which p divides P(n) (via the root sets of P
-mod p), strikes them block by block, and divides out exact prime powers.
-Whatever remains after all strikes is either 1 or a single prime: a composite
-leftover would need two prime factors above the sieve bound, exceeding the
-value itself. Factor data is stored columnar (flat prime/exponent arrays plus
-row offsets), which keeps N = 10**6 tables comfortably in memory.
+mod p). It strikes them all in one pass over 1..N: one (row, p) hit per
+member of every progression, built with whole-array operations, then exact
+prime powers are divided out of all hits at once, one more power of p per
+pass on the hits whose residual p still divides. Whatever remains is either
+1 or a single prime: a composite leftover would need two prime factors above
+the sieve bound, exceeding the value itself. Factor data is stored columnar
+(flat prime/exponent arrays plus row offsets).
 """
 from __future__ import annotations
 
@@ -32,8 +34,6 @@ from .poly import (
 # wrapping Horner evaluation of values_int64 exact however large the
 # coefficients are.
 _MAX_SIEVE_BOUND = 1 << 27
-
-_DEFAULT_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -139,66 +139,46 @@ class ValueTable:
         return self._prime_index
 
 
-def _prime_roots(P: IntPolynomial, bound: int) -> list[tuple[int, list[int]]]:
-    out = []
+def _prime_roots(P: IntPolynomial, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, r) for every root r of P mod every prime p <= bound, as two arrays."""
+    ps, rs = [], []
     for p in primes_up_to(bound):
         p = int(p)
         roots = roots_mod_prime(P, p)
-        roots = list(roots)
-        if roots:
-            out.append((p, roots))
-    return out
+        ps.extend([p] * len(roots))
+        rs.extend(roots)
+    return np.array(ps, dtype=np.int64), np.array(rs, dtype=np.int64)
 
 
-def _sieve(P: IntPolynomial, N: int, proots, block_size: int) -> ValueTable:
-    values_parts, sf_parts = [], []
-    rows_parts, primes_parts, exps_parts = [], [], []
-    for lo in range(1, N + 1, block_size):
-        hi = min(lo + block_size, N + 1)
-        blen = hi - lo
-        vals = values_int64(P, lo, hi)
-        residual = vals.copy()
-        not_sf = np.zeros(blen, dtype=bool)
-        for p, roots in proots:
-            for r in roots:
-                start = (r - lo) % p
-                if start >= blen:
-                    continue
-                idx = np.arange(start, blen, p, dtype=np.int64)
-                residual[idx] //= p
-                e = np.ones(len(idx), dtype=np.int16)
-                while True:
-                    rem = residual[idx] % p == 0
-                    if not rem.any():
-                        break
-                    residual[idx[rem]] //= p
-                    e[rem] += 1
-                if (e > 1).any():
-                    not_sf[idx[e > 1]] = True
-                rows_parts.append(idx + (lo - 1))
-                primes_parts.append(np.full(len(idx), p, dtype=np.int64))
-                exps_parts.append(e)
-        left = np.nonzero(residual > 1)[0]
-        if len(left):
-            rows_parts.append(left + (lo - 1))
-            primes_parts.append(residual[left])
-            exps_parts.append(np.ones(len(left), dtype=np.int16))
-        values_parts.append(vals)
-        sf_parts.append(~not_sf)
-
-    values = np.concatenate(values_parts)
-    sf = np.concatenate(sf_parts)
-    if rows_parts:
-        rows = np.concatenate(rows_parts)
-        primes = np.concatenate(primes_parts)
-        exps = np.concatenate(exps_parts)
-    else:
-        rows = np.empty(0, np.int64)
-        primes = np.empty(0, np.int64)
-        exps = np.empty(0, np.int16)
-    order = np.argsort(rows, kind="stable")
-    rows, primes, exps = rows[order], primes[order], exps[order]
+def _sieve(P: IntPolynomial, N: int, ps: np.ndarray, rs: np.ndarray) -> ValueTable:
+    values = values_int64(P, 1, N + 1)
+    residual = values.copy()
+    # one (row, p) hit for every row n = r (mod p), progression by progression
+    starts = (rs - 1) % ps
+    counts = (N - 1 - starts) // ps + 1
+    primes = np.repeat(ps, counts)
+    rows = np.arange(len(primes), dtype=np.int64)
+    rows -= np.repeat(np.cumsum(counts) - counts, counts)
+    rows *= primes
+    rows += np.repeat(starts, counts)
+    # divide out exact prime powers: p once per hit, then p again on the
+    # hits whose residual it still divides, until none is left
+    np.floor_divide.at(residual, rows, primes)
+    exps = np.ones(len(rows), dtype=np.int16)
+    live = np.nonzero(residual[rows] % primes == 0)[0]
+    while len(live):
+        np.floor_divide.at(residual, rows[live], primes[live])
+        exps[live] += 1
+        live = live[residual[rows[live]] % primes[live] == 0]
+    sf = np.ones(N, dtype=bool)
+    sf[rows[exps > 1]] = False
+    left = np.nonzero(residual > 1)[0]
+    rows = np.concatenate([rows, left])
+    primes = np.concatenate([primes, residual[left]])
+    exps = np.concatenate([exps, np.ones(len(left), dtype=np.int16)])
     counts = np.bincount(rows, minlength=N)
+    order = np.argsort(rows, kind="stable")
+    primes, exps = primes[order], exps[order]
     row_ptr = np.zeros(N + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])
     largest = np.zeros(N, dtype=np.int64)
@@ -207,7 +187,7 @@ def _sieve(P: IntPolynomial, N: int, proots, block_size: int) -> ValueTable:
     return ValueTable(P, N, values, sf, largest, primes, exps, row_ptr)
 
 
-def sieve_values(P: IntPolynomial, N: int, block_size: int = _DEFAULT_BLOCK) -> ValueTable:
+def sieve_values(P: IntPolynomial, N: int) -> ValueTable:
     """Factor P(n) for every 1 <= n <= N into a ValueTable.
 
     Raises DomainError unless P(n) >= 1 on the whole range; for polynomials
@@ -228,7 +208,7 @@ def sieve_values(P: IntPolynomial, N: int, block_size: int = _DEFAULT_BLOCK) -> 
             f"values reach {maxv}; sieving would need primes up to {bound}, "
             f"beyond the supported bound {_MAX_SIEVE_BOUND}"
         )
-    return _sieve(P, N, _prime_roots(P, bound), block_size)
+    return _sieve(P, N, *_prime_roots(P, bound))
 
 
 def squarefree_count(table: ValueTable) -> int:
