@@ -278,11 +278,37 @@ def _split_linear_factors(P: IntPolynomial) -> tuple[tuple[int, int], ...] | Non
     return tuple(factors)
 
 
+def _classify_quadratic(c: int, b: int, a: int) -> PolyClass:
+    """Class of a*x^2 + b*x + c, decided from its discriminant alone.
+
+    A positive square discriminant gives the rational roots (-b +- sqrt D)/2a;
+    the factors are built from them with the content absorbed into the first,
+    as _split_linear_factors does, so no divisor is ever enumerated.
+    """
+    disc = b * b - 4 * a * c
+    if disc == 0:
+        return PolyClass(UNSUPPORTED)
+    if not is_perfect_square(disc):
+        return PolyClass(IRREDUCIBLE_QUADRATIC)
+    s = math.isqrt(disc)
+    r1, r2 = Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)
+    const = a // (r1.denominator * r2.denominator)
+    return PolyClass(
+        LINEAR_FACTORS,
+        (
+            (const * r1.denominator, -const * r1.numerator),
+            (r2.denominator, -r2.numerator),
+        ),
+    )
+
+
 @lru_cache(maxsize=512)
 def classify(P: IntPolynomial) -> PolyClass:
     """Classify a polynomial of degree >= 2 by its factorization over Z."""
     if P.degree < 2:
         raise ValueError("classification needs degree >= 2")
+    if P.degree == 2:
+        return _classify_quadratic(*P.coeffs)
     factors = _split_linear_factors(P)
     if factors is not None:
         for i in range(len(factors)):
@@ -291,10 +317,6 @@ def classify(P: IntPolynomial) -> PolyClass:
                 if a1 * b2 - a2 * b1 == 0:  # proportional: same root
                     return PolyClass(UNSUPPORTED)
         return PolyClass(LINEAR_FACTORS, factors)
-    if P.degree == 2:
-        c, b, a = P.coeffs
-        if not is_perfect_square(b * b - 4 * a * c):
-            return PolyClass(IRREDUCIBLE_QUADRATIC)
     return PolyClass(UNSUPPORTED)
 
 
@@ -309,10 +331,6 @@ def _eval_mod(coeffs, x: int, m: int) -> int:
     return acc
 
 
-def _roots_scan_small(coeffs_mod: list[int], p: int) -> list[int]:
-    return [x for x in range(p) if _eval_mod(coeffs_mod, x, p) == 0]
-
-
 def _roots_scan_vector(coeffs_mod: list[int], p: int) -> list[int]:
     # Horner over all residues at once; safe in int64 while p*p < 2**63
     x = np.arange(p, dtype=np.int64)
@@ -320,12 +338,6 @@ def _roots_scan_vector(coeffs_mod: list[int], p: int) -> list[int]:
     for c in reversed(coeffs_mod):
         acc = (acc * x + c) % p
     return np.nonzero(acc == 0)[0].tolist()
-
-
-def _roots_scan(coeffs_mod: list[int], p: int) -> list[int]:
-    if p <= 64:
-        return _roots_scan_small(coeffs_mod, p)
-    return _roots_scan_vector(coeffs_mod, p)
 
 
 def _roots_linear(a: int, b: int, p: int) -> list[int] | range:
@@ -354,7 +366,7 @@ def roots_mod_prime(P: IntPolynomial, p: int) -> list[int] | range:
     if all(c == 0 for c in coeffs_mod):
         return range(p)
     if p <= _SCAN_LIMIT:
-        return _roots_scan(coeffs_mod, p)
+        return _roots_scan_vector(coeffs_mod, p)
     deg = P.degree
     if deg == 1:
         return _roots_linear(P.coeffs[1], P.coeffs[0], p)
@@ -373,7 +385,7 @@ def roots_mod_prime(P: IntPolynomial, p: int) -> list[int] | range:
             r = _roots_linear(c1, c0, p)
             return r if isinstance(r, range) else sorted(r)
         return _roots_quadratic(c0, c1, c2, p)
-    return _roots_scan(coeffs_mod, p)
+    return _roots_scan_vector(coeffs_mod, p)
 
 
 def _hensel_lifts(P: IntPolynomial, p: int) -> tuple[list[int], list[int] | range]:

@@ -92,8 +92,6 @@ class ValueTable:
         for n in range(1, self.n_max + 1):
             yield self.record(n)
 
-    records = __iter__
-
     @classmethod
     def from_records(cls, poly: IntPolynomial, records) -> "ValueTable":
         """Build a table directly from records (testing hook).

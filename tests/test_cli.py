@@ -63,6 +63,13 @@ def test_kappa_envelope(capsys):
     assert "wall_time_s" in env
 
 
+def test_kappa_quadratic_with_huge_constant(capsys):
+    env = run_json(capsys, "kappa", "--poly", "100000000000000000001,0,1", "--prime-bound", "2000")
+    d = env["data"]
+    assert d["kind"] == "irreducible_quadratic"
+    assert d["kappa"] == kappa_euler(IntPolynomial((10**20 + 1, 0, 1)), 2000)
+
+
 def test_kappa_data_is_rerun_stable(capsys):
     a = run_json(capsys, "kappa", "--poly", "1,0,1", "--prime-bound", "500")
     b = run_json(capsys, "kappa", "--poly", "1,0,1", "--prime-bound", "500")

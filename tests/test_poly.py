@@ -138,8 +138,15 @@ def test_classify_examples():
         classify(IntPolynomial((0, 1)))
 
 
+# 6 (10**15 x + 37)(3x - 10**15 - 7): a split quadratic whose coefficients
+# have 10**15-size divisor searches
+_HUGE_SPLIT = (IntPolynomial((37, 10**15)) * IntPolynomial((-(10**15) - 7, 3))).coeffs
+_HUGE_SPLIT = tuple(6 * c for c in _HUGE_SPLIT)
+
+
 def test_classify_factors_multiply_back():
-    for coeffs in [(0, 1, 1), (2, 7, 6), (0, -1, 0, 1)]:  # last: x(x-1)(x+1)
+    # (0, -1, 0, 1) is x(x-1)(x+1)
+    for coeffs in [(0, 1, 1), (2, 7, 6), (0, -1, 0, 1), (-6, 1, 2), _HUGE_SPLIT]:
         p = IntPolynomial(coeffs)
         cls = classify(p)
         if cls.kind != LINEAR_FACTORS:
@@ -149,6 +156,22 @@ def test_classify_factors_multiply_back():
             f = IntPolynomial((b, a))
             prod = f if prod is None else prod * f
         assert prod.coeffs == p.coeffs
+
+
+def test_classify_quadratics_with_huge_coefficients():
+    # decided from the discriminant: no divisor of 10**20 is ever enumerated
+    assert classify(IntPolynomial((10**20 + 1, 0, 1))).kind == IRREDUCIBLE_QUADRATIC
+    assert classify(IntPolynomial((-(10**20), 1, 1))).kind == IRREDUCIBLE_QUADRATIC
+    assert classify(IntPolynomial((1, 2 * 10**15, 10**30))).kind == UNSUPPORTED
+    split = IntPolynomial(_HUGE_SPLIT)
+    cls = classify(split)
+    assert cls.kind == LINEAR_FACTORS and len(cls.factors) == 2
+    for p in (1031, 2003):
+        assert list(roots_mod_prime(split, p)) == _roots_scan(split.coeffs, p)
+
+
+def _roots_scan(coeffs, p):
+    return [x for x in range(p) if sum(c * x**i for i, c in enumerate(coeffs)) % p == 0]
 
 
 @pytest.mark.parametrize(
