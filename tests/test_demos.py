@@ -3,17 +3,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_fluctuation_scan_demo_runs():
+# each demo with one exact line of its output
+_DEMO_LINES = {
+    "fluctuation_scan": "set invariants: all hold",
+    "squarefree_density": "   200000      178956   0.89478",
+    "smooth_and_largest": "rows with log P+ / log n >= 1: 77203 of 99999 histogrammed",
+}
+
+
+@pytest.mark.parametrize("demo", list(_DEMO_LINES))
+def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "fluctuation_scan.py")],
+        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "set invariants: all hold" in proc.stdout.splitlines()
+    assert _DEMO_LINES[demo] in proc.stdout.splitlines()
