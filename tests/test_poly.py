@@ -122,6 +122,11 @@ def test_admissibility_against_density_oracle():
         assert is_admissible(p) == (not blocked)
 
 
+# 6 (10**15 x + 37)(3x - 10**15 - 7): a split quadratic with content 6 whose
+# coefficients have 10**15-size divisor searches
+_HUGE_SPLIT = (IntPolynomial((6 * 37, 6 * 10**15)) * IntPolynomial((-(10**15) - 7, 3))).coeffs
+
+
 def test_classify_examples():
     assert classify(IntPolynomial((1, 0, 1))).kind == IRREDUCIBLE_QUADRATIC
     assert classify(IntPolynomial((3, 0, 1))).kind == IRREDUCIBLE_QUADRATIC
@@ -134,14 +139,13 @@ def test_classify_examples():
     assert classify(IntPolynomial((0, 0, 1))).kind == UNSUPPORTED  # x^2
     assert classify(IntPolynomial((1, 4, 4))).kind == UNSUPPORTED  # (2x+1)^2
     assert classify(IntPolynomial((2, 0, 0, 1))).kind == UNSUPPORTED  # x^3+2
+    # quadratics are decided from the discriminant, whatever the coefficient size
+    assert classify(IntPolynomial((10**20 + 1, 0, 1))).kind == IRREDUCIBLE_QUADRATIC
+    assert classify(IntPolynomial((-(10**20), 1, 1))).kind == IRREDUCIBLE_QUADRATIC
+    assert classify(IntPolynomial((1, 2 * 10**15, 10**30))).kind == UNSUPPORTED
+    assert classify(IntPolynomial(_HUGE_SPLIT)).kind == LINEAR_FACTORS
     with pytest.raises(ValueError):
         classify(IntPolynomial((0, 1)))
-
-
-# 6 (10**15 x + 37)(3x - 10**15 - 7): a split quadratic whose coefficients
-# have 10**15-size divisor searches
-_HUGE_SPLIT = (IntPolynomial((37, 10**15)) * IntPolynomial((-(10**15) - 7, 3))).coeffs
-_HUGE_SPLIT = tuple(6 * c for c in _HUGE_SPLIT)
 
 
 def test_classify_factors_multiply_back():
@@ -156,22 +160,6 @@ def test_classify_factors_multiply_back():
             f = IntPolynomial((b, a))
             prod = f if prod is None else prod * f
         assert prod.coeffs == p.coeffs
-
-
-def test_classify_quadratics_with_huge_coefficients():
-    # decided from the discriminant: no divisor of 10**20 is ever enumerated
-    assert classify(IntPolynomial((10**20 + 1, 0, 1))).kind == IRREDUCIBLE_QUADRATIC
-    assert classify(IntPolynomial((-(10**20), 1, 1))).kind == IRREDUCIBLE_QUADRATIC
-    assert classify(IntPolynomial((1, 2 * 10**15, 10**30))).kind == UNSUPPORTED
-    split = IntPolynomial(_HUGE_SPLIT)
-    cls = classify(split)
-    assert cls.kind == LINEAR_FACTORS and len(cls.factors) == 2
-    for p in (1031, 2003):
-        assert list(roots_mod_prime(split, p)) == _roots_scan(split.coeffs, p)
-
-
-def _roots_scan(coeffs, p):
-    return [x for x in range(p) if sum(c * x**i for i, c in enumerate(coeffs)) % p == 0]
 
 
 @pytest.mark.parametrize(
@@ -211,6 +199,7 @@ def test_roots_mod_prime_matches_scan_above_dispatch_cutoff():
         IntPolynomial((2, 7, 6)),
         IntPolynomial((3, -1, 2)),
         IntPolynomial((5, 4, 0, 1)),  # cubic: vector scan path
+        IntPolynomial(_HUGE_SPLIT),
     ]
     for p in [1031, 2003, 5003]:
         for poly in polys:
