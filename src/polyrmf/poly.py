@@ -278,37 +278,26 @@ def _split_linear_factors(P: IntPolynomial) -> tuple[tuple[int, int], ...] | Non
     return tuple(factors)
 
 
-def _classify_quadratic(c: int, b: int, a: int) -> PolyClass:
-    """Class of a*x^2 + b*x + c, decided from its discriminant alone.
-
-    A positive square discriminant gives the rational roots (-b +- sqrt D)/2a;
-    the factors are built from them with the content absorbed into the first,
-    as _split_linear_factors does, so no divisor is ever enumerated.
-    """
-    disc = b * b - 4 * a * c
-    if disc == 0:
-        return PolyClass(UNSUPPORTED)
-    if not is_perfect_square(disc):
-        return PolyClass(IRREDUCIBLE_QUADRATIC)
-    s = math.isqrt(disc)
-    r1, r2 = Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)
-    const = a // (r1.denominator * r2.denominator)
-    return PolyClass(
-        LINEAR_FACTORS,
-        (
-            (const * r1.denominator, -const * r1.numerator),
-            (r2.denominator, -r2.numerator),
-        ),
-    )
-
-
 @lru_cache(maxsize=512)
 def classify(P: IntPolynomial) -> PolyClass:
     """Classify a polynomial of degree >= 2 by its factorization over Z."""
     if P.degree < 2:
         raise ValueError("classification needs degree >= 2")
     if P.degree == 2:
-        return _classify_quadratic(*P.coeffs)
+        # decided from the discriminant: no divisor search, whatever the size
+        # of the coefficients. A nonzero square D gives the rational roots
+        # (-b +- sqrt D)/2a, and the content goes into the first factor.
+        c, b, a = P.coeffs
+        disc = b * b - 4 * a * c
+        if disc == 0:
+            return PolyClass(UNSUPPORTED)
+        if not is_perfect_square(disc):
+            return PolyClass(IRREDUCIBLE_QUADRATIC)
+        s = math.isqrt(disc)
+        r1, r2 = Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)
+        const = a // (r1.denominator * r2.denominator)
+        first = (const * r1.denominator, -const * r1.numerator)
+        return PolyClass(LINEAR_FACTORS, (first, (r2.denominator, -r2.numerator)))
     factors = _split_linear_factors(P)
     if factors is not None:
         for i in range(len(factors)):
