@@ -39,6 +39,7 @@ class _Opt:
     default: object = None
     required: bool = False
     choices: tuple | None = None
+    minimum: int | None = None
     help: str = ""
 
 
@@ -49,18 +50,18 @@ _COMMON = (
 _SPECS: dict[str, tuple[_Opt, ...]] = {
     "kappa": (
         _Opt("poly", str, required=True, help="coefficients, constant first, e.g. 1,0,1"),
-        _Opt("prime_bound", int, 100_000, help="Euler product truncation"),
+        _Opt("prime_bound", int, 100_000, minimum=2, help="Euler product truncation"),
     ),
     "sieve-dump": (
         _Opt("poly", str, required=True),
         _Opt("n_max", int, required=True),
-        _Opt("max_rows", int, 0, help="emit only the first rows (0 = all)"),
+        _Opt("max_rows", int, 0, minimum=0, help="emit only the first rows (0 = all)"),
     ),
     "moments": (
         _Opt("poly", str, required=True),
         _Opt("n_max", int, required=True),
         _Opt("gcd_threshold", int, 0, help="also histogram pair gcds above this (0 = skip)"),
-        _Opt("pairs", int, 0, help="sampled gcd pairs (0 = exhaustive)"),
+        _Opt("pairs", int, 0, minimum=0, help="sampled gcd pairs (0 = exhaustive)"),
         _Opt("histogram_csv", str, help="write the gcd histogram here"),
     ),
     "quadruples": (
@@ -73,7 +74,7 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
         _Opt("trials", int, 1000),
         _Opt("model", str, "rademacher", choices=("rademacher", "steinhaus")),
         _Opt("normalization", str, "exact", choices=("exact", "kappa")),
-        _Opt("prime_bound", int, 100_000),
+        _Opt("prime_bound", int, 100_000, minimum=2),
         _Opt("histogram_csv", str, help="write the normalized-sum histogram here"),
     ),
     "curves": (
@@ -84,7 +85,7 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
         _Opt("n_grid", str, help="scan mode: comma-separated cutoffs"),
         _Opt("ab_samples", int, 100),
         _Opt("ab_max", int, 1000),
-        _Opt("max_points", int, 1000, help="cap on points listed in the output"),
+        _Opt("max_points", int, 1000, minimum=0, help="cap on points listed in the output"),
         _Opt("points_csv", str, help="write the solution points here"),
     ),
     "fluctuations": (
@@ -154,8 +155,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
                 raise ValueError(f"{opt.name} must be one of {opt.choices}")
         if v is None:
             v = opt.default
+        flag = "--" + opt.name.replace("_", "-")
         if v is None and opt.required:
-            raise ValueError(f"missing required option --{opt.name.replace('_', '-')}")
+            raise ValueError(f"missing required option {flag}")
+        if opt.minimum is not None and v < opt.minimum:
+            raise ValueError(f"{flag} must be >= {opt.minimum}, got {v}")
         cfg[opt.name] = v
     if cfg.get("seed") is None:
         cfg["seed"] = int(os.environ.get("RCL_SEED", "0"))

@@ -2,13 +2,17 @@
 
 Prime signs/angles come from a counter-based hash (the splitmix64 finalizer)
 of (seed, prime), so a sampler is a pure function of its seed: no state, no
-order dependence, and the scalar and vectorized paths are bit-identical.
+order dependence, and the scalar and vectorized paths draw the same f(p).
 Rademacher samplers give f(p) = +-1 i.i.d. with f supported on squarefree
 values; Steinhaus samplers give f(p) uniform on the unit circle extended
 completely multiplicatively.
 
-trial_sums is the one place f is summed: for each trial seed it multiplies
-the f-values of all rows by a sparse 0/1 row-to-group incidence matrix.
+trial_sums is the one place f is summed. One sparse incidence matrix per
+table, rows by distinct primes holding exponents, serves both models: for a
+block of trials, Rademacher f is the parity of A @ sign bits on squarefree
+rows and Steinhaus f is exp(2 pi i A @ angles). The block's group sums are
+one sparse product with a 0/1 row-to-group matrix. Results depend neither
+on trial order nor on block size.
 """
 from __future__ import annotations
 
@@ -34,6 +38,8 @@ _SEED_TWEAK = 0xA0761D6478BD642F
 _PRIME_TWEAK = 0xE7037ED1A0B428DB
 _MIX_C1 = 0xBF58476D1CE4E5B9
 _MIX_C2 = 0x94D049BB133111EB
+# f-values held at once by trial_sums: rows x trials per block
+_BLOCK_ENTRIES = 1 << 17
 
 
 def mix64(z: int) -> int:
@@ -115,72 +121,51 @@ def f_value(sampler: RmfSampler, record: ValueRecord):
     return cmath.exp(2j * cmath.pi * (frac % 1.0))
 
 
-def _vector_ctx(table: ValueTable, model: str) -> dict:
-    """Cached per-table arrays for the vectorized f evaluation."""
-    cache = table.__dict__.setdefault("_rmf_ctx", {})
-    if model in cache:
-        return cache[model]
-    primes, inv = table.prime_index()
-    lengths = np.diff(table.row_ptr)
-    ctx = {
-        "n": table.n_max,
-        "pm": _mix64_u64(primes.astype(np.uint64) ^ np.uint64(_PRIME_TWEAK)),
-        "unit_rows": np.nonzero(lengths == 0)[0],
-    }
-    if model == RADEMACHER:
-        keep = np.asarray(table.is_squarefree) & (lengths > 0)
-        ctx["rows"] = np.nonzero(keep)[0]
-        ctx["flat"] = inv[np.repeat(keep, lengths)]
-        kept_len = lengths[keep]
-        ctx["starts"] = np.concatenate(([0], np.cumsum(kept_len)[:-1])).astype(np.int64)
-    else:
-        nonempty = lengths > 0
-        ctx["rows"] = np.nonzero(nonempty)[0]
-        ctx["flat"] = inv
-        ctx["exps"] = table.flat_exps.astype(np.float64)
-        ctx["starts"] = table.row_ptr[:-1][nonempty].astype(np.int64)
-    cache[model] = ctx
-    return ctx
-
-
-def _f_values_vector(seed: int, table: ValueTable, model: str) -> np.ndarray:
-    """f(P(n)) for n = 1..N as one array; rows with f = 0 stay zero."""
-    ctx = _vector_ctx(table, model)
-    s0 = np.uint64(mix64(seed ^ _SEED_TWEAK))
-    h = _mix64_u64(ctx["pm"] ^ s0)
-    if model == RADEMACHER:
-        eps = np.where((h >> np.uint64(63)) == 0, 1.0, -1.0)
-        out = np.zeros(ctx["n"], dtype=np.float64)
-        if len(ctx["flat"]):
-            out[ctx["rows"]] = np.multiply.reduceat(eps[ctx["flat"]], ctx["starts"])
-        out[ctx["unit_rows"]] = 1.0
-        return out
-    frac = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    contrib = frac[ctx["flat"]] * ctx["exps"]
-    out = np.zeros(ctx["n"], dtype=np.complex128)
-    if len(contrib):
-        sums = np.add.reduceat(contrib, ctx["starts"])
-        out[ctx["rows"]] = np.exp(2j * np.pi * sums)
-    out[ctx["unit_rows"]] = 1.0
-    return out
+def _incidence(table: ValueTable) -> sparse.csr_matrix:
+    """Cached CSR matrix of exponents, table rows by table.prime_index() primes."""
+    if "_rmf_incidence" not in table.__dict__:
+        primes, inv = table.prime_index()
+        table._rmf_incidence = sparse.csr_matrix(
+            (table.flat_exps.astype(np.float64), inv, table.row_ptr),
+            shape=(table.n_max, len(primes)),
+        )
+    return table._rmf_incidence
 
 
 def trial_sums(table: ValueTable, seeds, model: str, groups=None) -> np.ndarray:
     """Group sums of f(P(n)), one row per trial seed: shape (len(seeds), n_groups).
 
     groups is a scipy.sparse 0/1 matrix, table rows by groups, and row t is
-    groups.T @ f for seeds[t]; groups=None is one group of all rows. A row
-    depends on its own seed only, so the result does not depend on trial
-    order. Rademacher sums are integers, exact in float64.
+    groups.T @ f for seeds[t]; groups=None is one group of all rows. Trials
+    run in blocks of _BLOCK_ENTRIES // n_max: each block hashes its seeds
+    against every prime at once and gets f for all rows from the incidence
+    matrix A (rows by primes, holding exponents), so a unit row is an empty
+    row with f = 1. Each column of a block is computed alone, so a row
+    depends on its own seed only, not on trial order or block size.
+    Rademacher sums are integers, exact in float64.
     """
     if model not in _MODELS:
         raise ValueError(f"model must be one of {_MODELS}")
+    if groups is None:
+        groups = sparse.csc_array(np.ones((table.n_max, 1)))
+    A = _incidence(table)
+    pm = _mix64_u64(table.prime_index()[0].astype(np.uint64) ^ np.uint64(_PRIME_TWEAK))
+    sf = np.asarray(table.is_squarefree)[:, None]
+    seeds = (np.asarray(seeds, dtype=object) & _MASK).astype(np.uint64)
     dtype = np.float64 if model == RADEMACHER else np.complex128
-    n_groups = 1 if groups is None else groups.shape[1]
-    out = np.zeros((len(seeds), n_groups), dtype=dtype)
-    for t, seed in enumerate(seeds):
-        v = _f_values_vector(int(seed), table, model)
-        out[t] = v.sum() if groups is None else groups.T @ v
+    out = np.empty((len(seeds), groups.shape[1]), dtype=dtype)
+    block = max(1, _BLOCK_ENTRIES // table.n_max)
+    for lo in range(0, len(seeds), block):
+        s0 = _mix64_u64(seeds[lo:lo + block] ^ np.uint64(_SEED_TWEAK))
+        h = _mix64_u64(pm[:, None] ^ s0)
+        if model == RADEMACHER:
+            # a row holds at most 61 prime factors (values < 2**62): int8 is exact
+            odd = (A @ (h >> np.uint64(63)).astype(np.float64)).astype(np.int8) & 1
+            f = np.where(sf, 1 - 2 * odd, 0)
+        else:
+            frac = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            f = np.exp(2j * np.pi * (A @ frac))
+        out[lo:lo + block] = (groups.T @ f).T
     return out
 
 

@@ -238,6 +238,33 @@ def test_config_file_types_accepted(capsys, tmp_path):
     assert resolved["mode"] == "geometric"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("sieve-dump", "--poly", "1,0,1", "--n-max", "10", "--max-rows", "-1"),
+        ("curves", "--poly", "1,0,1", "--a", "1", "--b", "1", "--n-max", "5",
+         "--max-points", "-2"),
+        ("moments", "--poly", "1,0,1", "--n-max", "30", "--gcd-threshold", "5",
+         "--pairs", "-3"),
+        ("kappa", "--poly", "1,0,1", "--prime-bound", "-5"),
+        ("clt", "--poly", "1,0,1", "--n-max", "100", "--normalization", "kappa",
+         "--prime-bound", "1"),
+    ],
+)
+def test_counts_below_minimum_are_usage_errors(capsys, tmp_path, args):
+    flag = args[-2]
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError"
+    assert flag in error["message"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): int(args[-1])}))
+    code, _, err = run(capsys, *args[:-2], "--config", str(cfg))
+    assert code == 2
+    assert flag in json.loads(err)["error"]["message"]
+
+
 def test_unknown_config_key_rejected(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"poly": "1,0,1", "n_max": 40, "bogus": 1}))

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from polyrmf import rmf
 from polyrmf.errors import DomainError
 from polyrmf.moments import fourth_moment_exact, second_moment_exact
 from polyrmf.poly import IntPolynomial
 from polyrmf.rmf import (
     CltReport,
     RmfSampler,
-    _f_values_vector,
     derive_seed,
     derive_seeds,
     f_value,
@@ -91,11 +91,12 @@ def test_scalar_and_vector_paths_agree():
     for coeffs in [(1, 0, 1), (0, 1, 1)]:
         t = sieve_values(IntPolynomial(coeffs), 400)
         s = RmfSampler(12345)
-        vec = _f_values_vector(s.seed, t, "rademacher")
+        rows = sparse.identity(t.n_max, format="csc")
+        vec = trial_sums(t, [s.seed], "rademacher", rows)[0]
         sca = np.array([f_value(s, rec) for rec in t], dtype=float)
         assert np.array_equal(vec, sca)
         st = RmfSampler(12345, "steinhaus")
-        vecs = _f_values_vector(st.seed, t, "steinhaus")
+        vecs = trial_sums(t, [st.seed], "steinhaus", rows)[0]
         scas = np.array([f_value(st, rec) for rec in t], dtype=complex)
         assert np.allclose(vecs, scas, atol=1e-12)
 
@@ -141,6 +142,22 @@ def test_trial_sums_do_not_depend_on_trial_order(table_1e3):
         assert np.array_equal(subset, full[pick])
     with pytest.raises(ValueError):
         trial_sums(table_1e3, seeds, "gaussian")
+
+
+@pytest.mark.parametrize("model", ["rademacher", "steinhaus"])
+def test_trial_sums_do_not_depend_on_block_size(monkeypatch, table_1e3, model):
+    x2 = sieve_values(IntPolynomial((0, 0, 1)), 300)  # unit and non-squarefree rows
+    seeds = derive_seeds(11, 40)
+    for t in (table_1e3, x2):
+        groups = sparse.csc_array(
+            (np.random.default_rng(2).random((t.n_max, 3)) < 0.5).astype(np.float64)
+        )
+        default = [trial_sums(t, seeds, model), trial_sums(t, seeds, model, groups)]
+        for entries in (1, 7 * t.n_max, 1 << 30):
+            monkeypatch.setattr(rmf, "_BLOCK_ENTRIES", entries)
+            assert np.array_equal(trial_sums(t, seeds, model), default[0])
+            assert np.array_equal(trial_sums(t, seeds, model, groups), default[1])
+        monkeypatch.undo()
 
 
 def test_partial_sum_by_class_partitions(x2p1, table_1e3):
