@@ -60,7 +60,8 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
     "moments": (
         _Opt("poly", str, required=True),
         _Opt("n_max", int, required=True),
-        _Opt("gcd_threshold", int, 0, help="also histogram pair gcds above this (0 = skip)"),
+        _Opt("gcd_threshold", int, 0, minimum=0,
+             help="also histogram pair gcds above this (0 = skip)"),
         _Opt("pairs", int, 0, minimum=0, help="sampled gcd pairs (0 = exhaustive)"),
         _Opt("histogram_csv", str, help="write the gcd histogram here"),
     ),

@@ -3,12 +3,13 @@
 Coefficients are stored ascending (constant term first). Scalar arithmetic
 on polynomial values is exact Python-integer arithmetic; values_int64
 evaluates whole ranges in wrapping 64-bit arithmetic, exact whenever the
-values themselves fit int64, which value_range decides exactly. Root finding
-modulo a prime uses an exhaustive residue scan for small moduli and
-closed-form solving (linear inversion, quadratic formula with a
-Tonelli-Shanks square root) for large primes; the two paths agree exactly
-and are cross-checked in tests. Roots modulo p**2 come from Hensel lifting
-the roots modulo p, in Python integers.
+values themselves fit int64, which value_range decides exactly. Roots modulo
+primes come from one algorithm for every degree: roots_mod_primes splits P
+modulo a whole array of primes at once by Cantor-Zassenhaus gcds with
+(x + a)**((p - 1)/2) -+ 1, in int64 arithmetic that is exact while
+(deg P + 1) * p**2 < 2**63 and refused with DomainError past it;
+roots_mod_prime is its one-prime wrapper. Roots modulo p**2 come from Hensel
+lifting the roots modulo p, in Python integers.
 """
 from __future__ import annotations
 
@@ -25,16 +26,12 @@ from .intmath import (
     inv_mod,
     is_perfect_square,
     is_squarefree_int,
-    sqrt_mod_prime,
     trial_factorize,
 )
 
 LINEAR_FACTORS = "distinct_linear_factors"
 IRREDUCIBLE_QUADRATIC = "irreducible_quadratic"
 UNSUPPORTED = "unsupported"
-
-# below this, root finding mod p just scans every residue
-_SCAN_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -320,61 +317,213 @@ def _eval_mod(coeffs, x: int, m: int) -> int:
     return acc
 
 
-def _roots_scan_vector(coeffs_mod: list[int], p: int) -> list[int]:
-    # Horner over all residues at once; safe in int64 while p*p < 2**63
-    x = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(coeffs_mod):
-        acc = (acc * x + c) % p
-    return np.nonzero(acc == 0)[0].tolist()
+# Roots modulo many primes at once. Every array below holds one row per prime
+# (q is the row's prime); a polynomial is one int64 array per coefficient, or
+# a 2-D array with one column per coefficient where rows differ in degree.
+# Entries stay below (d + 1) * q**2 for d = deg P, which is what the bound
+# check in roots_mod_primes guarantees to fit int64: a value reduced mod q
+# counts as one q**2 and a product of two reduced values as one more, and a
+# sum is reduced before it would hold more than k + 1 <= d + 1 of them.
+
+_INT64_LIMIT = 1 << 63
 
 
-def _roots_linear(a: int, b: int, p: int) -> list[int] | range:
-    a %= p
-    b %= p
-    if a == 0:
-        return range(p) if b == 0 else []
-    return [(-b) * inv_mod(a, p) % p]
+def _mod_primes(c: int, q: np.ndarray) -> np.ndarray:
+    """c mod every entry of q, exact for an integer of any size."""
+    if abs(c) < _INT64_LIMIT >> 1:
+        return np.int64(c) % q
+    # Horner over 31-bit limbs of |c|: acc * 2**31 + limb < 2**63, as the
+    # bound check keeps q below 2**31
+    acc = np.zeros_like(q)
+    mag = abs(c)
+    for shift in reversed(range(0, mag.bit_length(), 31)):
+        acc = (acc * (1 << 31) + ((mag >> shift) & 0x7FFFFFFF)) % q
+    return acc if c > 0 else -acc % q
 
 
-def _roots_quadratic(c0: int, c1: int, c2: int, p: int) -> list[int]:
-    """Roots of c2 x^2 + c1 x + c0 mod an odd prime p with p not dividing c2."""
-    disc = (c1 * c1 - 4 * c2 * c0) % p
-    s = sqrt_mod_prime(disc, p)
-    if s is None:
-        return []
-    inv2a = inv_mod(2 * c2 % p, p)
-    r1 = (-c1 + s) * inv2a % p
-    r2 = (-c1 - s) * inv2a % p
-    return sorted({r1, r2})
+def _inv_rows(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """a**-1 mod q row by row, as a**(q - 2); every a is a unit mod its q."""
+    out = np.ones_like(q)
+    e = q - 2
+    for bit in range(int(e.max(initial=0)).bit_length()):
+        out = np.where((e >> bit) & 1, out * a % q, out)
+        a = a * a % q
+    return out
+
+
+def _degrees(m: np.ndarray) -> np.ndarray:
+    """Degree of each row of a 2-D coefficient array; -1 for a zero row."""
+    nz = m != 0
+    deg = m.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
+    deg[~nz.any(axis=1)] = -1
+    return deg
+
+
+def _sqr_mod(r: list, nf: list, q: np.ndarray) -> list:
+    """r**2 mod f; nf holds -f_i mod q for the monic f = x**k + sum f_i x**i."""
+    k = len(r)
+    c = [None] * (2 * k - 1)
+    units = [0] * (2 * k - 1)  # each c[j] < units[j] * q**2
+    for i in range(k):
+        for j in range(i, k):
+            t = r[i] * r[j] if i == j else 2 * r[i] * r[j]
+            c[i + j] = t if c[i + j] is None else c[i + j] + t
+            units[i + j] += 1 if i == j else 2
+    # x**m = x**(m - k) * (x**k - f) for m = 2k - 2 down to k
+    for m in range(2 * k - 2, k - 1, -1):
+        t = c[m] % q
+        for i in range(k):
+            j = m - k + i
+            if units[j] > k:
+                c[j] %= q
+                units[j] = 1
+            c[j] += t * nf[i]
+            units[j] += 1
+    return [c[j] % q for j in range(k)]
+
+
+def _half_power(f: list, a: int, q: np.ndarray) -> list:
+    """(x + a)**((q - 1)/2) mod the monic f = x**k + sum f_i x**i, row by row."""
+    k = len(f)
+    nf = [q - fi for fi in f]
+    e = (q - 1) // 2
+    r = [np.ones_like(q)] + [np.zeros_like(q) for _ in range(k - 1)]
+    for bit in reversed(range(int(e.max(initial=0)).bit_length())):
+        r = _sqr_mod(r, nf, q)
+        # multiply by (x + a) on the rows whose exponent has this bit: by
+        # b*x + (b*a + 1 - b), with b the bit
+        b = (e >> bit) & 1
+        lo = 1 + b * (a - 1)
+        top = b * r[-1]
+        r = [(lo * r[0] + top * nf[0]) % q] + [
+            (b * r[i - 1] + lo * r[i] + top * nf[i]) % q for i in range(1, k)
+        ]
+    return r
+
+
+def _gcd_rows(r0: np.ndarray, r1: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise gcd over F_q of r0 (degree k, k + 1 columns) and r1 (k columns).
+
+    Bernstein and Yang's division steps ("Fast constant-time gcd computation
+    and modular inversion", TCHES 2019, Theorem 6.2) on the reversals
+    f = x**k r0(1/x) and g = x**(k - 1) r1(1/x): 2k - 1 steps, the same for
+    every row, each with no branch and no inverse. After them the gcd has
+    degree delta/2 and is x**(delta/2) f(1/x) up to a unit. Returns the gcd
+    rows (ascending, not monic) and their degrees.
+    """
+    n, width = r0.shape
+    f = r0[:, ::-1]
+    g = np.zeros_like(r0)
+    g[:, :-1] = r1[:, ::-1]
+    delta = np.ones(n, dtype=np.int64)
+    for _ in range(2 * width - 3):
+        swap = (delta > 0) & (g[:, 0] != 0)
+        f, g = np.where(swap[:, None], g, f), np.where(swap[:, None], f, g)
+        delta = np.where(swap, 1 - delta, 1 + delta)
+        # (f(0) g - g(0) f) / x; its constant term is 0 by construction
+        g[:, :-1] = (f[:, :1] * g[:, 1:] - g[:, :1] * f[:, 1:]) % q[:, None]
+        g[:, -1] = 0
+    deg = delta // 2
+    idx = deg[:, None] - np.arange(width)
+    return np.where(idx >= 0, np.take_along_axis(f, np.maximum(idx, 0), axis=1), 0), deg
+
+
+def _monic_pieces(m: np.ndarray, deg: np.ndarray, q: np.ndarray, found: list) -> dict:
+    """Sort rows of positive degree into roots and pieces to split further.
+
+    A row of degree 1 appends its root to found as (q, r); a row of degree
+    k >= 2 is made monic and returned under key k as (q, low coefficients).
+    """
+    keep = np.nonzero(deg >= 1)[0]
+    m, deg, q = m[keep], deg[keep], q[keep]
+    lead = m[np.arange(len(q)), deg]
+    inv = np.ones_like(q)
+    scale = np.nonzero(lead != 1)[0]
+    inv[scale] = _inv_rows(lead[scale], q[scale])
+    m = m * inv[:, None] % q[:, None]
+    pieces = {}
+    for k in np.unique(deg).tolist():
+        rows = deg == k
+        if k == 1:
+            found.append((q[rows], -m[rows, 0] % q[rows]))
+        else:
+            pieces[k] = (q[rows], m[rows, :k])
+    return pieces
+
+
+def _split_pieces(pieces: dict, found: list) -> None:
+    """Append to found the roots of every monic piece mod its odd prime.
+
+    Round a splits every piece f by gcd(f, (x + a)**((q - 1)/2) -+ 1) and
+    tests the root -a by evaluation. Both gcds hold only linear factors: if
+    an irreducible h of degree >= 2 divided one, (x + a)**(q - 1) = 1 in the
+    field F_q[x]/h would put x + a, and so x, in F_q. So after round 0 every
+    piece is a product of distinct linear factors. One whose roots r all give
+    r + a the same quadratic character waits for the next a, merged with the
+    other pieces of its degree. By a = q - 1 every root has been tested, so
+    the rounds end.
+    """
+    a = 0
+    while pieces:
+        merged: dict = {}
+        for k, (q, f) in pieces.items():
+            at = np.ones_like(q)
+            for i in reversed(range(k)):
+                at = (at * (q - a) + f[:, i]) % q
+            hit = at == 0
+            found.append((q[hit], (q[hit] - a) % q[hit]))
+            w = np.column_stack(_half_power([np.ascontiguousarray(f[:, i]) for i in range(k)], a, q))
+            w = np.concatenate([w, w])
+            qq = np.concatenate([q, q])
+            w[:, 0] = (w[:, 0] + np.repeat([-1, 1], len(q))) % qq
+            ff = np.column_stack([f, np.ones_like(q)])
+            g, dg = _gcd_rows(np.concatenate([ff, ff]), w, qq)
+            for kk, (qk, fk) in _monic_pieces(g, dg, qq, found).items():
+                merged.setdefault(kk, []).append((qk, fk))
+        pieces = {k: tuple(np.concatenate(part) for part in zip(*v)) for k, v in merged.items()}
+        a += 1
+
+
+def roots_mod_primes(P: IntPolynomial, primes) -> tuple[np.ndarray, np.ndarray]:
+    """Every root r of P modulo every prime p in primes, as int64 arrays (ps, rs).
+
+    Pairs are sorted by (p, r); a prime dividing every coefficient gives all
+    p residues. All primes are split at once in int64 arithmetic, exact while
+    (deg P + 1) * p**2 < 2**63; past that bound this raises DomainError.
+    """
+    try:
+        q = np.asarray(primes, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        raise DomainError("a prime exceeds int64") from None
+    if len(q) and (P.degree + 1) * int(q.max()) ** 2 >= _INT64_LIMIT:
+        raise DomainError(
+            f"prime {int(q.max())} is too large for exact int64 roots of a degree "
+            f"{P.degree} polynomial: needs (deg + 1) * p**2 < 2**63"
+        )
+    m = np.column_stack([_mod_primes(c, q) for c in P.coeffs])
+    deg = _degrees(m)
+    found = []
+    zero = deg < 0
+    if zero.any():  # P = 0 mod q: every residue
+        qz = q[zero]
+        found.append((np.repeat(qz, qz), np.arange(int(qz.sum())) - np.repeat(np.cumsum(qz) - qz, qz)))
+    two = (q == 2) & ~zero
+    for r, value in ((0, m[two, 0]), (1, m[two].sum(axis=1))):  # P(0) and P(1)
+        hit = value % 2 == 0
+        found.append((q[two][hit], np.full(int(hit.sum()), r, dtype=np.int64)))
+    odd = np.nonzero(~zero & ~two)[0]
+    _split_pieces(_monic_pieces(m[odd], deg[odd], q[odd], found), found)
+    ps = np.concatenate([p for p, _ in found] + [np.empty(0, np.int64)])
+    rs = np.concatenate([r for _, r in found] + [np.empty(0, np.int64)])
+    order = np.lexsort((rs, ps))
+    return ps[order], rs[order]
 
 
 def roots_mod_prime(P: IntPolynomial, p: int) -> list[int] | range:
     """Sorted roots of P mod prime p; range(p) when P vanishes identically mod p."""
-    coeffs_mod = [c % p for c in P.coeffs]
-    if all(c == 0 for c in coeffs_mod):
+    if all(c % p == 0 for c in P.coeffs):
         return range(p)
-    if p <= _SCAN_LIMIT:
-        return _roots_scan_vector(coeffs_mod, p)
-    deg = P.degree
-    if deg == 1:
-        return _roots_linear(P.coeffs[1], P.coeffs[0], p)
-    cls = classify(P)
-    if cls.kind == LINEAR_FACTORS:
-        roots: set[int] = set()
-        for a, b in cls.factors:
-            r = _roots_linear(a, b, p)
-            if isinstance(r, range):
-                return r
-            roots.update(r)
-        return sorted(roots)
-    if deg == 2:
-        c0, c1, c2 = coeffs_mod
-        if c2 == 0:
-            r = _roots_linear(c1, c0, p)
-            return r if isinstance(r, range) else sorted(r)
-        return _roots_quadratic(c0, c1, c2, p)
-    return _roots_scan_vector(coeffs_mod, p)
+    return roots_mod_primes(P, [p])[1].tolist()
 
 
 def _hensel_lifts(P: IntPolynomial, p: int) -> tuple[list[int], list[int] | range]:

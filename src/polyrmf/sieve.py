@@ -21,9 +21,10 @@ from .errors import DomainError
 from .intmath import primes_up_to
 from .poly import (
     IntPolynomial,
-    count_roots_mod_prime_square,
+    _eval_mod,
+    _mod_primes,
     is_admissible,
-    roots_mod_prime,
+    roots_mod_primes,
     value_range,
     values_int64,
 )
@@ -137,17 +138,6 @@ class ValueTable:
         return self._prime_index
 
 
-def _prime_roots(P: IntPolynomial, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """(p, r) for every root r of P mod every prime p <= bound, as two arrays."""
-    ps, rs = [], []
-    for p in primes_up_to(bound):
-        p = int(p)
-        roots = roots_mod_prime(P, p)
-        ps.extend([p] * len(roots))
-        rs.extend(roots)
-    return np.array(ps, dtype=np.int64), np.array(rs, dtype=np.int64)
-
-
 def _sieve(P: IntPolynomial, N: int, ps: np.ndarray, rs: np.ndarray) -> ValueTable:
     values = values_int64(P, 1, N + 1)
     residual = values.copy()
@@ -206,7 +196,7 @@ def sieve_values(P: IntPolynomial, N: int) -> ValueTable:
             f"values reach {maxv}; sieving would need primes up to {bound}, "
             f"beyond the supported bound {_MAX_SIEVE_BOUND}"
         )
-    return _sieve(P, N, *_prime_roots(P, bound))
+    return _sieve(P, N, *roots_mod_primes(P, primes_up_to(bound)))
 
 
 def squarefree_count(table: ValueTable) -> int:
@@ -224,13 +214,22 @@ def kappa_euler(P: IntPolynomial, prime_bound: int = 100_000) -> float:
     """
     if not is_admissible(P):
         raise DomainError("polynomial is inadmissible: some p^2 divides every value")
-    prod = 1.0
-    for p in primes_up_to(prime_bound):
-        p = int(p)
-        rho = count_roots_mod_prime_square(P, p)
-        if rho:
-            prod *= 1.0 - rho / (p * p)
-    return prod
+    primes = primes_up_to(prime_bound)
+    ps, rs = roots_mod_primes(P, primes)
+    # Hensel: a root r mod p lifts to one root mod p**2 when P'(r) != 0 mod p,
+    # and otherwise to all p residues r + t*p when p**2 divides P(r), to none
+    # when not. Content primes are no exception: there every r is such a root.
+    slope = np.zeros_like(rs)
+    for c in reversed(P.derivative_coeffs()):
+        slope = (slope * rs + _mod_primes(c, ps)) % ps
+    lifts = np.ones_like(rs)
+    for i in np.nonzero(slope == 0)[0].tolist():
+        p = int(ps[i])
+        lifts[i] = p if _eval_mod(P.coeffs, int(rs[i]), p * p) == 0 else 0
+    rho = np.bincount(np.searchsorted(primes, ps), weights=lifts, minlength=len(primes))
+    # one factor per prime, multiplied left to right as accumulate does
+    factors = 1.0 - rho / (primes * primes)
+    return float(np.multiply.accumulate(factors)[-1]) if len(factors) else 1.0
 
 
 @dataclass(frozen=True)

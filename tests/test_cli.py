@@ -249,6 +249,7 @@ def test_config_file_types_accepted(capsys, tmp_path):
         ("kappa", "--poly", "1,0,1", "--prime-bound", "-5"),
         ("clt", "--poly", "1,0,1", "--n-max", "100", "--normalization", "kappa",
          "--prime-bound", "1"),
+        ("moments", "--poly", "1,0,1", "--n-max", "30", "--gcd-threshold", "-4"),
     ],
 )
 def test_counts_below_minimum_are_usage_errors(capsys, tmp_path, args):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyrmf.errors import DomainError
 from polyrmf.poly import (
+    _sqr_mod,
     IRREDUCIBLE_QUADRATIC,
     LINEAR_FACTORS,
     UNSUPPORTED,
@@ -17,6 +18,7 @@ from polyrmf.poly import (
     is_admissible,
     roots_mod,
     roots_mod_prime,
+    roots_mod_primes,
     value_range,
     values_int64,
 )
@@ -192,14 +194,18 @@ def test_roots_mod_brute_force():
 
 
 def test_roots_mod_prime_matches_scan_above_dispatch_cutoff():
-    # the fast formula/solve paths must agree with an exhaustive scan
+    # the gcd splitting must agree with an exhaustive scan for split,
+    # irreducible and repeated factors alike, with huge coefficients too
     polys = [
         IntPolynomial((1, 0, 1)),
         IntPolynomial((0, 1, 1)),
         IntPolynomial((2, 7, 6)),
         IntPolynomial((3, -1, 2)),
-        IntPolynomial((5, 4, 0, 1)),  # cubic: vector scan path
+        IntPolynomial((5, 4, 0, 1)),  # irreducible cubic
         IntPolynomial(_HUGE_SPLIT),
+        IntPolynomial((3, 7, 5, 1)),  # (x + 1)^2 (x + 3)
+        IntPolynomial((0, 0, 0, 0, 1)),  # x^4
+        IntPolynomial((6, 5, -3, 0, 7, 2)),  # degree 5
     ]
     for p in [1031, 2003, 5003]:
         for poly in polys:
@@ -207,6 +213,79 @@ def test_roots_mod_prime_matches_scan_above_dispatch_cutoff():
             got = sorted(got) if not isinstance(got, range) else list(got)
             expected = [x for x in range(p) if poly.eval(x) % p == 0]
             assert got == expected, (poly.coeffs, p)
+
+
+_PRIMES_BELOW_2000 = np.array(list(sympy.primerange(2, 2000)), dtype=np.int64)
+
+
+def _roots_scan(coeffs, p):
+    x = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = (acc * x + c % p) % p
+    return np.nonzero(acc == 0)[0].tolist()
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=2, max_size=6),
+    st.integers(1, 9),
+)
+def test_roots_mod_primes_match_scan_hypothesis(coeffs, content):
+    # degrees 1-5 over every prime below 2000, content primes included
+    if coeffs[-1] == 0:
+        coeffs = coeffs[:-1] + [1]
+    coeffs = [content * c for c in coeffs]
+    poly = IntPolynomial(coeffs)
+    ps, rs = roots_mod_primes(poly, _PRIMES_BELOW_2000)
+    assert ps.dtype == rs.dtype == np.int64
+    expected = [(p, r) for p in _PRIMES_BELOW_2000.tolist() for r in _roots_scan(coeffs, p)]
+    assert list(zip(ps.tolist(), rs.tolist())) == expected
+    for p in _PRIMES_BELOW_2000.tolist():
+        assert list(roots_mod_prime(poly, p)) == rs[ps == p].tolist()
+
+
+def test_roots_mod_primes_exact_past_the_scan_range():
+    p = 10**9 + 7
+    poly = IntPolynomial((-4, 0, 1))
+    assert roots_mod_prime(poly, p) == [2, p - 2]
+    ps, rs = roots_mod_primes(poly, [p])
+    assert ps.tolist() == [p, p] and rs.tolist() == [2, p - 2]
+    # the largest primes inside the int64 bound (deg + 1) * p**2 < 2**63,
+    # where every intermediate runs closest to overflow; x^2 + x + 1 has no
+    # root modulo 1239850223 = 2 mod 3
+    assert roots_mod_prime(poly, 1753413037) == [2, 1753413035]
+    quintic = IntPolynomial((-6, 11, -6, 1)) * IntPolynomial((1, 1, 1))
+    assert roots_mod_prime(quintic, 1239850223) == [1, 2, 3]
+
+
+def test_squaring_mod_f_stays_exact_at_the_int64_bound():
+    # inputs near the largest the bound allows, modulo the largest prime with
+    # 6 q^2 < 2^63: summing the products unreduced would pass 2^63 here
+    q = 1239850223
+    r = [1226923535, 1225738182, 1238491792, 1231162418, 1222694690]
+    nf = [1223545196, 1226262889, 1229672737, 1223858283, 1227836080]  # -f_i mod q
+    c = [0] * 9
+    for i, a in enumerate(r):
+        for j, b in enumerate(r):
+            c[i + j] += a * b
+    for m in range(8, 4, -1):  # x^m = x^(m - 5) (x^5 - f)
+        for i in range(5):
+            c[m - 5 + i] += c[m] * nf[i]
+    qa = np.array([q], dtype=np.int64)
+    got = _sqr_mod([np.array([v]) for v in r], [np.array([v]) for v in nf], qa)
+    assert [int(v[0]) for v in got] == [v % q for v in c[:5]]
+
+
+def test_roots_mod_primes_refuses_primes_past_int64():
+    # 3 * p**2 >= 2**63 for a quadratic modulo the prime 2**31 - 1
+    poly = IntPolynomial((-4, 0, 1))
+    with pytest.raises(DomainError):
+        roots_mod_primes(poly, [3, 2**31 - 1])
+    with pytest.raises(DomainError):
+        roots_mod_prime(poly, 2**31 - 1)
+    with pytest.raises(DomainError):
+        roots_mod_prime(poly, 2**89 - 1)
 
 
 def test_roots_mod_prime_content_prime_returns_range():

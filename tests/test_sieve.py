@@ -210,16 +210,17 @@ _SIEVE_SHAPES = (
     st.integers(1, 400),
 )
 def test_sieve_values_match_factorint_hypothesis(coeffs, content, N):
-    # degrees 1-4. N is halved until |P| stays below 10**8 on [1, N]: past
-    # that, root finding for degree 3 and 4 scans every residue of each prime
-    # up to 10**4 and beyond. A polynomial that dips below 1 is then shifted up.
+    # degrees 1-4. N is halved until |P| stays below 10**10 on [1, N], which
+    # keeps sympy's factorint of every value quick; the sieve then needs the
+    # roots modulo every prime up to 10**5. A polynomial that dips below 1 is
+    # then shifted up.
     coeffs = [content * c for c in coeffs]
     if coeffs[-1] == 0:
         coeffs[-1] = content
     P = IntPolynomial(coeffs)
     while True:
         (minv, _), (maxv, _) = value_range(P, 1, N)
-        if max(-minv, maxv) <= 10**8:
+        if max(-minv, maxv) <= 10**10:
             break
         N //= 2
     if minv < 1:
@@ -234,3 +235,18 @@ def test_sieve_values_match_factorint_hypothesis(coeffs, content, N):
         assert rec.factors == tuple(sorted(ref.items()))
         assert rec.is_squarefree == all(e == 1 for e in ref.values())
         assert rec.largest_prime == (max(ref) if ref else None)
+
+
+def test_sieve_values_match_factorint_on_a_quartic():
+    # 18x^4 + 36x^3 + 42x^2 - 6x - 48 = 6(3x^4 + 6x^3 + 7x^2 - x - 8) has no
+    # rational root and reaches 1.07 * 10**10 at N = 156: a sieve bound of
+    # 1.04 * 10**5
+    P = IntPolynomial((-48, -6, 42, 36, 18))
+    t = sieve_values(P, 156)
+    for n in range(1, 157):
+        rec = t.record(n)
+        ref = sympy.factorint(P(n))
+        assert rec.value == P(n)
+        assert rec.factors == tuple(sorted(ref.items()))
+        assert rec.is_squarefree == all(e == 1 for e in ref.values())
+        assert rec.largest_prime == max(ref)
