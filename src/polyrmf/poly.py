@@ -9,7 +9,9 @@ modulo a whole array of primes at once by Cantor-Zassenhaus gcds with
 (x + a)**((p - 1)/2) -+ 1, in int64 arithmetic that is exact while
 (deg P + 1) * p**2 < 2**63 and refused with DomainError past it;
 roots_mod_prime is its one-prime wrapper. Roots modulo p**2 come from Hensel
-lifting the roots modulo p, in Python integers.
+lifting the roots modulo p: count_roots_mod_prime_squares counts the simple
+ones for all primes at once and lifts the few singular ones in Python
+integers.
 """
 from __future__ import annotations
 
@@ -330,15 +332,9 @@ _INT64_LIMIT = 1 << 63
 
 def _mod_primes(c: int, q: np.ndarray) -> np.ndarray:
     """c mod every entry of q, exact for an integer of any size."""
-    if abs(c) < _INT64_LIMIT >> 1:
+    if abs(c) < _INT64_LIMIT:
         return np.int64(c) % q
-    # Horner over 31-bit limbs of |c|: acc * 2**31 + limb < 2**63, as the
-    # bound check keeps q below 2**31
-    acc = np.zeros_like(q)
-    mag = abs(c)
-    for shift in reversed(range(0, mag.bit_length(), 31)):
-        acc = (acc * (1 << 31) + ((mag >> shift) & 0x7FFFFFFF)) % q
-    return acc if c > 0 else -acc % q
+    return (c % q.astype(object)).astype(np.int64)
 
 
 def _inv_rows(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -526,30 +522,48 @@ def roots_mod_prime(P: IntPolynomial, p: int) -> list[int] | range:
     return roots_mod_primes(P, [p])[1].tolist()
 
 
+def _lift_kinds(P: IntPolynomial, ps: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hensel's lemma for the roots rs[i] of P mod ps[i], as masks (simple, fibre).
+
+    No ps[i] may divide every coefficient. A simple root r mod p (P'(r) != 0
+    mod p) lifts to exactly one root mod p**2, r - P(r)/P'(r). A singular
+    root is a fibre, all of whose p lifts r + t*p are roots mod p**2, when
+    p**2 divides P(r), and lifts to no root otherwise. Slopes are taken for
+    all roots at once; only singular roots are evaluated mod p**2, in Python
+    integers.
+    """
+    slope = np.zeros_like(rs)
+    for c in reversed(P.derivative_coeffs()):
+        slope = (slope * rs + _mod_primes(c, ps)) % ps
+    simple = slope != 0
+    fibre = np.zeros_like(simple)
+    for i in np.nonzero(~simple)[0].tolist():
+        p = int(ps[i])
+        fibre[i] = _eval_mod(P.coeffs, int(rs[i]), p * p) == 0
+    return simple, fibre
+
+
 def _hensel_lifts(P: IntPolynomial, p: int) -> tuple[list[int], list[int] | range]:
     """Roots of P mod p**2 as (single, fibres).
 
-    single lists roots mod p**2. Each r in fibres is a root mod p all of whose
-    p lifts r + t*p are roots mod p**2. By Hensel's lemma a simple root r mod p
-    (P'(r) != 0 mod p) lifts to exactly one root, r - P(r)/P'(r) mod p**2; a
-    singular root lifts to all p residues when p**2 divides P(r) and to none
-    otherwise. When p divides every coefficient, P = p*Q and P(x) = 0 mod p**2
-    exactly when Q(x) = 0 mod p. Everything is exact Python-integer arithmetic,
-    so no size of p overflows.
+    single lists roots mod p**2, the lifts of the simple roots mod p; each r
+    in fibres is a root mod p all of whose p lifts r + t*p are roots mod
+    p**2 (see _lift_kinds). When p divides every coefficient, P = p*Q and
+    P(x) = 0 mod p**2 exactly when Q(x) = 0 mod p, so the fibres are the
+    roots of Q mod p. The roots mod p come from roots_mod_prime, so this
+    raises DomainError once (deg P + 1) * p**2 >= 2**63.
     """
     if all(c % p == 0 for c in P.coeffs):
         return [], roots_mod_prime(IntPolynomial([c // p for c in P.coeffs]), p)
+    rs = np.asarray(roots_mod_prime(P, p), dtype=np.int64)
+    simple, fibre = _lift_kinds(P, np.full_like(rs, p), rs)
     m = p * p
     dcoeffs = P.derivative_coeffs()
-    single, fibres = [], []
-    for r in roots_mod_prime(P, p):
-        v = _eval_mod(P.coeffs, r, m)
-        d = _eval_mod(dcoeffs, r, p)
-        if d:
-            single.append((r - v * inv_mod(d, p)) % m)
-        elif v == 0:
-            fibres.append(r)
-    return single, fibres
+    single = [
+        (r - _eval_mod(P.coeffs, r, m) * inv_mod(_eval_mod(dcoeffs, r, p), p)) % m
+        for r in rs[simple].tolist()
+    ]
+    return single, rs[fibre].tolist()
 
 
 def _roots_mod_prime_square(P: IntPolynomial, p: int) -> list[int] | range:
@@ -559,10 +573,37 @@ def _roots_mod_prime_square(P: IntPolynomial, p: int) -> list[int] | range:
     return sorted(single + [r + t * p for r in fibres for t in range(p)])
 
 
+def count_roots_mod_prime_squares(P: IntPolynomial, primes) -> np.ndarray:
+    """rho(p**2) for every prime p in primes, as an int64 array in their order.
+
+    rho(p**2) counts the residues r mod p**2 with P(r) = 0 mod p**2: one for
+    each simple root mod p and p for each fibre (see _lift_kinds), found for
+    all primes at once. The few primes dividing every coefficient are counted
+    by _hensel_lifts. Raises DomainError once (deg P + 1) * p**2 >= 2**63, as
+    roots_mod_primes does.
+    """
+    q, at = np.unique(np.asarray(primes).reshape(-1), return_inverse=True)
+    ps, rs = roots_mod_primes(P, q)
+    q = q.astype(np.int64)
+    content = q[np.logical_and.reduce([_mod_primes(c, q) == 0 for c in P.coeffs])]
+    keep = ~np.isin(ps, content)
+    ps, rs = ps[keep], rs[keep]
+    simple, fibre = _lift_kinds(P, ps, rs)
+    lifts = np.where(simple, 1, np.where(fibre, ps, 0))
+    # the float sums are exact: each is at most deg P * p < 2**53
+    rho = np.bincount(np.searchsorted(q, ps), weights=lifts, minlength=len(q)).astype(np.int64)
+    for p in content.tolist():
+        single, fibres = _hensel_lifts(P, p)
+        rho[np.searchsorted(q, p)] = len(single) + p * len(fibres)
+    return rho[at]
+
+
 def count_roots_mod_prime_square(P: IntPolynomial, p: int) -> int:
-    """Number of residues r mod p**2 with P(r) = 0 mod p**2."""
-    single, fibres = _hensel_lifts(P, p)
-    return len(single) + p * len(fibres)
+    """Number of residues r mod p**2 with P(r) = 0 mod p**2.
+
+    Raises DomainError once (deg P + 1) * p**2 >= 2**63.
+    """
+    return int(count_roots_mod_prime_squares(P, [p])[0])
 
 
 def roots_mod(P: IntPolynomial, m: int) -> list[int] | range:
@@ -572,7 +613,9 @@ def roots_mod(P: IntPolynomial, m: int) -> list[int] | range:
     shapes the rest of the package needs. Root sets are found per prime (or
     prime square) and recombined with the Chinese Remainder Theorem, so the
     count is multiplicative over coprime factors. A prime square on which P
-    vanishes identically gives range(m).
+    vanishes identically gives range(m). Roots mod each prime p come from
+    roots_mod_primes, so this raises DomainError for a prime factor p with
+    (deg P + 1) * p**2 >= 2**63.
     """
     if m < 1:
         raise ValueError("modulus must be positive")

@@ -21,8 +21,7 @@ from .errors import DomainError
 from .intmath import primes_up_to
 from .poly import (
     IntPolynomial,
-    _eval_mod,
-    _mod_primes,
+    count_roots_mod_prime_squares,
     is_admissible,
     roots_mod_primes,
     value_range,
@@ -215,18 +214,7 @@ def kappa_euler(P: IntPolynomial, prime_bound: int = 100_000) -> float:
     if not is_admissible(P):
         raise DomainError("polynomial is inadmissible: some p^2 divides every value")
     primes = primes_up_to(prime_bound)
-    ps, rs = roots_mod_primes(P, primes)
-    # Hensel: a root r mod p lifts to one root mod p**2 when P'(r) != 0 mod p,
-    # and otherwise to all p residues r + t*p when p**2 divides P(r), to none
-    # when not. Content primes are no exception: there every r is such a root.
-    slope = np.zeros_like(rs)
-    for c in reversed(P.derivative_coeffs()):
-        slope = (slope * rs + _mod_primes(c, ps)) % ps
-    lifts = np.ones_like(rs)
-    for i in np.nonzero(slope == 0)[0].tolist():
-        p = int(ps[i])
-        lifts[i] = p if _eval_mod(P.coeffs, int(rs[i]), p * p) == 0 else 0
-    rho = np.bincount(np.searchsorted(primes, ps), weights=lifts, minlength=len(primes))
+    rho = count_roots_mod_prime_squares(P, primes)
     # one factor per prime, multiplied left to right as accumulate does
     factors = 1.0 - rho / (primes * primes)
     return float(np.multiply.accumulate(factors)[-1]) if len(factors) else 1.0

@@ -14,6 +14,7 @@ from polyrmf.poly import (
     IntPolynomial,
     classify,
     count_roots_mod_prime_square,
+    count_roots_mod_prime_squares,
     fixed_divisor,
     is_admissible,
     roots_mod,
@@ -307,12 +308,17 @@ def test_root_count_lagrange_bound():
 
 
 def test_count_roots_mod_prime_square_brute():
-    polys = [IntPolynomial((1, 0, 1)), IntPolynomial((0, 1, 1)), IntPolynomial((4, 0, 2))]
-    for poly in polys:
-        for p in (2, 3, 5, 7, 11, 13):
-            m = p * p
-            expected = sum(1 for x in range(m) if poly.eval(x) % m == 0)
-            assert count_roots_mod_prime_square(poly, p) == expected
+    # every Hensel case: simple roots, singular roots lifting to all p
+    # residues or to none, and content primes; the batched count gets the
+    # primes out of order, one of them twice
+    polys = [(1, 0, 1), (0, 1, 1), (4, 0, 2), (2, 2, 2), (6, 0, 6), (0, 0, 1, 1), (3, 7, 5, 1),
+             (0, 0, 0, 0, 9), (12, 0, 4)]
+    primes = list(reversed(_SMALL_PRIMES[:12])) + [3]
+    for coeffs in polys:
+        poly = IntPolynomial(coeffs)
+        expected = [len(_roots_mod_square_scan(coeffs, p)) for p in primes]
+        assert count_roots_mod_prime_squares(poly, primes).tolist() == expected
+        assert [count_roots_mod_prime_square(poly, p) for p in primes] == expected
 
 
 def test_count_roots_mod_prime_square_past_int64_cubes():

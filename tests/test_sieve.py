@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from polyrmf.errors import DomainError
-from polyrmf.poly import IntPolynomial, value_range
+from polyrmf.poly import IntPolynomial, count_roots_mod_prime_square, value_range
 from polyrmf.sieve import (
     LargestPrimeStats,
     ValueRecord,
@@ -136,10 +136,31 @@ def test_kappa_euler_linear_factor_oracle():
     assert kappa_euler(IntPolynomial((0, 1, 1)), bound) == pytest.approx(prod, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (2, 2, 2),  # content prime 2
+        (6, 0, 6),  # content primes 2 and 3
+        (0, 0, 1, 1),  # x^2(x+1): the singular root 0 lifts to all p residues
+        (3, 7, 5, 1),  # (x+1)^2(x+3): the singular root -1 does too
+    ],
+)
+def test_kappa_euler_singular_and_content_primes(coeffs):
+    # the product of the per-prime counts, taken left to right, exactly
+    P = IntPolynomial(coeffs)
+    bound = 2000
+    prod = 1.0
+    for p in sympy.primerange(2, bound + 1):
+        prod *= 1.0 - count_roots_mod_prime_square(P, int(p)) / (p * p)
+    assert kappa_euler(P, bound) == prod
+
+
 def test_kappa_euler_rejects_inadmissible():
     p = IntPolynomial((0, 1, 1)) * IntPolynomial((6, 5, 1))
     with pytest.raises(DomainError):
         kappa_euler(p, 100)
+    with pytest.raises(DomainError):  # 4 divides every value
+        kappa_euler(IntPolynomial((4, 4, 4)), 100)
 
 
 def test_largest_prime_stats_brute(x2p1):
