@@ -26,7 +26,7 @@ from scipy import sparse
 from .errors import InfeasibleScaleError
 from .poly import IntPolynomial
 from .rmf import RADEMACHER, RmfSampler, derive_seeds, trial_sums
-from .sieve import ValueTable, sieve_values
+from .sieve import ValueTable, multi_slice, sieve_values
 
 THEORETICAL = "theoretical"
 GEOMETRIC = "geometric"
@@ -146,15 +146,6 @@ def threshold_primes(table: ValueTable, x: int, c: float) -> np.ndarray:
     return np.unique(fp[m])
 
 
-def _multi_slice(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Indices covering [s, s+l) for each (s, l) pair, concatenated."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    offs = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return np.arange(total, dtype=np.int64) - offs + np.repeat(starts, lengths)
-
-
 @dataclass
 class PrimeClassSets:
     """Disjoint per-scale prime sets and the induced row partition.
@@ -261,7 +252,7 @@ def build_prime_class_sets(
         keep = cidx[~np.isin(fn, shared)]
         prime_sets.append(uprimes[keep].copy())
         first_occ.append(first_n[keep].copy())
-        pos = _multi_slice(starts[keep], counts[keep])
+        pos = multi_slice(starts[keep], counts[keep])
         occ_n = n_s[pos]
         occ_rows = occ_n[occ_n <= xk] - 1
         np.bitwise_or.at(bitmask, occ_rows, np.uint64(1 << idx))

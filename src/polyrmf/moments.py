@@ -6,23 +6,24 @@ product of four squarefree values is a perfect square exactly when the two
 pair kernels agree, so the fourth moment of a Rademacher f-sum is the sum of
 squared kernel-bucket counts over all ordered value pairs, and cross moments
 between largest-prime classes pair buckets across classes. All counts here
-are exact integers; no probabilistic hashing is involved (buckets are keyed
-by exact kernels, with Python's hash-then-compare dict semantics providing
-the collision check).
+are exact integers; no probabilistic hashing is involved. Every pair count
+comes from one chunked scan (_pair_scan), and buckets are keyed by exact
+kernels, counted by one sort and its run lengths.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .intmath import trial_factorize
-from .sieve import ValueRecord, ValueTable
+from .sieve import ValueRecord, ValueTable, multi_slice
 
 # integer kernels of int64 value pairs stay within int64 below this
 _INT64_VALUE_LIMIT = 1 << 31
+# pairs handed to numpy at once by the pair scan
+_PAIR_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,7 @@ class KernelKey:
 
     @property
     def value(self) -> int:
-        out = 1
-        for p in self.primes:
-            out *= p
-        return out
+        return math.prod(self.primes)
 
 
 def _prime_set(x) -> frozenset[int]:
@@ -67,9 +65,14 @@ def pair_kernel(a, b) -> KernelKey:
     return KernelKey(tuple(sorted(sa.symmetric_difference(sb))))
 
 
-def _value_multiplicities(table: ValueTable) -> dict[int, int]:
-    u, c = np.unique(table.values[table.is_squarefree], return_counts=True)
-    return dict(zip(u.tolist(), c.tolist()))
+def _multiplicity_sums(table: ValueTable) -> tuple[int, int, int]:
+    """(Q, 3*Q**2 - 2*F, units): Q and F sum the squares and fourth powers of
+    the squarefree value multiplicities, 3*Q**2 - 2*F counts the value-level
+    diagonal quadruples, and units is the multiplicity of value 1."""
+    u, m = np.unique(table.values[table.is_squarefree], return_counts=True)
+    q = _sum_squares(m)
+    f = sum(c**4 for c in m.tolist())
+    return q, 3 * q * q - 2 * f, int(m[0]) if len(u) and u[0] == 1 else 0
 
 
 def second_moment_exact(table: ValueTable) -> int:
@@ -78,76 +81,92 @@ def second_moment_exact(table: ValueTable) -> int:
     This is the exact second moment of the Rademacher partial sum; it equals
     the squarefree count when P is injective on the range.
     """
-    return sum(m * m for m in _value_multiplicities(table).values())
+    return _multiplicity_sums(table)[0]
 
 
-def _kernel_counts_int64(vals: np.ndarray, chunk: int = 1024):
-    """(kernels, counts) over all ordered pairs of vals; exact int64 path."""
-    parts_v, parts_c = [], []
-    for lo in range(0, len(vals), chunk):
-        block = vals[lo : lo + chunk, None]
-        g = np.gcd(block, vals[None, :])
-        k = (block // g) * (vals[None, :] // g)
-        u, c = np.unique(k, return_counts=True)
-        parts_v.append(u)
-        parts_c.append(c)
-    allv = np.concatenate(parts_v)
-    allc = np.concatenate(parts_c)
-    u, inv = np.unique(allv, return_inverse=True)
-    out = np.zeros(len(u), dtype=np.int64)
-    np.add.at(out, inv, allc)
-    return u, out
+def _pair_scan(x: np.ndarray, y: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Yield (rows, g, kernel) for chunks of whole rows of about _PAIR_CHUNK pairs.
+
+    Row i of x meets y[starts[i] : starts[i] + lengths[i]]; rows is the x row
+    of each pair, g = gcd(a, b), and the kernel (a/g)*(b/g) is int64 while
+    every value is below _INT64_VALUE_LIMIT and exact Python ints past it.
+    An empty scan yields one empty chunk, so every tally has its columns.
+    """
+    exact = max(x.max(initial=0), y.max(initial=0)) >= _INT64_VALUE_LIMIT
+    marks = np.arange(_PAIR_CHUNK, int(lengths.sum()), _PAIR_CHUNK)
+    bounds = [0, *np.unique(np.searchsorted(np.cumsum(lengths), marks)).tolist(), len(x)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = np.repeat(np.arange(lo, hi), lengths[lo:hi])
+        a = x[rows]
+        b = y[multi_slice(starts[lo:hi], lengths[lo:hi])]
+        g = np.gcd(a, b)
+        a, b = a // g, b // g
+        if exact:
+            a, b = a.astype(object), b.astype(object)
+        yield rows, g, a * b
+
+
+def _tally(keys: tuple[np.ndarray, ...], weights: np.ndarray | None = None):
+    """(distinct key columns, counts) by one sort and its run lengths.
+
+    keys are equal-length columns compared as tuples; weights default to 1.
+    np.sort is ten times faster than lexsort on a random int64 column, and
+    lexsort, a merge sort, is fast on the sorted runs of merged tallies.
+    """
+    if len(keys) == 1 and weights is None:
+        keys = (np.sort(keys[0]),)
+    else:
+        order = np.lexsort(keys)
+        keys = tuple(k[order] for k in keys)
+        weights = None if weights is None else weights[order]
+    new = np.arange(len(keys[0])) == 0
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    firsts = np.flatnonzero(new)
+    counts = np.add.reduceat(np.ones(len(new), np.int64) if weights is None else weights, firsts)
+    return tuple(k[firsts] for k in keys), counts
+
+
+def _scan_tally(x, y, starts, lengths, key, diagonal=None):
+    """_tally of key(rows, g, kernel) over the pairs of the scan.
+
+    With diagonal, the scan meets each unordered pair of x with itself once:
+    the count is over both orders plus the pairs (i, i), keyed by diagonal.
+    """
+    parts = [_tally(key(*chunk)) for chunk in _pair_scan(x, y, starts, lengths)]
+    if diagonal is not None:
+        parts = [(k, 2 * c) for k, c in parts] + [(diagonal, np.ones(len(x), np.int64))]
+    keys = tuple(np.concatenate(col) for col in zip(*(k for k, _ in parts)))
+    counts = np.concatenate([c for _, c in parts])
+    del parts
+    return _tally(keys, counts)
+
+
+def _sum_squares(counts: np.ndarray) -> int:
+    """Exact sum of squared counts, in Python ints."""
+    u, m = np.unique(counts, return_counts=True)
+    return sum(c * c * k for c, k in zip(u.tolist(), m.tolist()))
 
 
 def fourth_moment_exact(table: ValueTable) -> int:
     """Ordered squarefree quadruples (n1..n4) whose value product is a square.
 
     Equals sum over kernels mu of c_mu**2 with c_mu the ordered-pair count of
-    kernel mu. Runs the O(S^2) pair scan with integer kernels; values whose
-    pair kernels could pass int64 fall back to exact prime-set arithmetic.
+    kernel mu, from the pair scan over i < j and the diagonal (kernel 1).
     """
     vals = table.values[table.is_squarefree]
-    if len(vals) == 0:
-        return 0
-    if int(vals.max()) < _INT64_VALUE_LIMIT:
-        _, counts = _kernel_counts_int64(vals)
-        if len(vals) ** 4 < 1 << 62:
-            return int(np.dot(counts, counts))
-        return sum(int(c) * int(c) for c in counts)
-    cnt: Counter = Counter()
-    sets = [frozenset(p for p, _ in r.factors) for r in table if r.is_squarefree]
-    for sa in sets:
-        for sb in sets:
-            cnt[sa.symmetric_difference(sb)] += 1
-    return sum(c * c for c in cnt.values())
+    i, ones = np.arange(len(vals)), np.ones(len(vals), np.int64)
+    _, counts = _scan_tally(vals, vals, i + 1, len(vals) - i - 1, lambda r, g, k: (k,), (ones,))
+    return _sum_squares(counts)
 
 
 def off_diagonal_count(table: ValueTable) -> int:
     """Square quadruples not equal in pairs under any of the three pairings.
 
-    Subtracts the inclusion-exclusion count of value-level diagonal
-    quadruples, 3*Q**2 - 2*F with Q = sum of squared value multiplicities and
-    F = sum of fourth powers, which reduces to 3*S**2 - 2*S for injective P.
+    Subtracts the value-level diagonal quadruples, 3*Q**2 - 2*F by
+    inclusion-exclusion (_multiplicity_sums), or 3*S**2 - 2*S for injective P.
     """
-    mult = _value_multiplicities(table)
-    q = sum(m * m for m in mult.values())
-    f = sum(m**4 for m in mult.values())
-    return fourth_moment_exact(table) - (3 * q * q - 2 * f)
-
-
-def _kernel_int(a: int, b: int) -> int:
-    g = math.gcd(a, b)
-    return (a // g) * (b // g)
-
-
-def _class_members(table: ValueTable) -> dict[int | None, list[int]]:
-    """Squarefree values grouped by largest prime factor (None for value 1)."""
-    groups: dict[int | None, list[int]] = {}
-    items = zip(table.values.tolist(), table.largest.tolist(), table.is_squarefree.tolist())
-    for v, lp, ok in items:
-        if ok:
-            groups.setdefault(lp or None, []).append(v)
-    return groups
+    return fourth_moment_exact(table) - _multiplicity_sums(table)[1]
 
 
 def mcleish_condition_sums(table: ValueTable) -> tuple[float, float, float]:
@@ -159,28 +178,23 @@ def mcleish_condition_sums(table: ValueTable) -> tuple[float, float, float]:
       s2 = sum_p E[M_p^2] / B, s4 = sum_p E[M_p^4] / B^2,
       cross = sum_{p != q} E[M_p^2 M_q^2] / B^2.
     Classes partition the squarefree support, so s2 is exactly 1 whenever the
-    second moment is nonzero.
+    second moment is nonzero. Only pairs inside a class are scanned.
     """
-    groups = _class_members(table)
-    t1: Counter = Counter()
-    t2: Counter = Counter()
-    q_sum = 0
-    for members in groups.values():
-        local: Counter = Counter()
-        for a in members:
-            for b in members:
-                local[_kernel_int(a, b)] += 1
-        q_sum += local.get(1, 0)
-        for k, c in local.items():
-            t1[k] += c
-            t2[k] += c * c
-    if q_sum == 0:
+    sf = table.is_squarefree
+    order = np.argsort(table.largest[sf], kind="stable")
+    vals, cls = table.values[sf][order], table.largest[sf][order]
+    s = len(vals)
+    if s == 0:
         raise ValueError("table has no squarefree values; condition sums undefined")
-    b = second_moment_exact(table)
-    s2 = q_sum / b
-    s4 = sum(t2.values()) / b**2
-    cross = sum(t1[k] * t1[k] - t2[k] for k in t1) / b**2
-    return s2, s4, cross
+    # ordered pairs inside each class, by (class, kernel)
+    i, ends = np.arange(s), np.searchsorted(cls, cls, side="right")
+    (_, kernels), local = _scan_tally(
+        vals, vals, i + 1, ends - i - 1, lambda r, g, k: (cls[r], k), (cls, np.ones(s, np.int64))
+    )
+    # t1 by kernel, kernel 1 first: it holds every diagonal pair
+    _, t1 = _tally((kernels,), local)
+    t2, b = _sum_squares(local), second_moment_exact(table)
+    return int(t1[0]) / b, t2 / b**2, (_sum_squares(t1) - t2) / b**2
 
 
 @dataclass(frozen=True)
@@ -202,21 +216,18 @@ class MomentReport:
 def moment_report(table: ValueTable) -> MomentReport:
     """All exact moment quantities in one pass.
 
-    Includes the fourth moment, so memory grows with the square of the
-    squarefree count; ranges up to a few thousand are the practical limit.
-    The condition sums alone stay linear, use mcleish_condition_sums for
-    large ranges.
+    Includes the fourth moment, whose memory grows with its distinct
+    kernels, up to half the squared squarefree count; ranges up to a few
+    thousand are the practical limit. The condition sums alone scan only
+    pairs inside a class, use mcleish_condition_sums for large ranges.
     """
-    mult = _value_multiplicities(table)
-    q = sum(m * m for m in mult.values())
-    f = sum(m**4 for m in mult.values())
+    q, diagonal, units = _multiplicity_sums(table)
     fourth = fourth_moment_exact(table)
-    diagonal = 3 * q * q - 2 * f
     s2, s4, cross = mcleish_condition_sums(table)
     return MomentReport(
         n_max=table.n_max,
         squarefree_count=int(np.asarray(table.is_squarefree).sum()),
-        unit_count=mult.get(1, 0),
+        unit_count=units,
         second_moment=q,
         fourth_moment=fourth,
         diagonal_term=diagonal,
@@ -247,37 +258,24 @@ def gcd_class_histogram(
 
     pairs = None scans every ordered pair (including n1 = n2, whose gcd is
     the value itself); otherwise that many pairs are drawn uniformly with a
-    seeded generator. Gcds come from the factor lists: the product of shared
-    primes.
+    seeded generator. Gcds come from the pair scan, as np.gcd of the values.
     """
-    recs = [r for r in table if r.is_squarefree]
-    sets = [frozenset(p for p, _ in r.factors) for r in recs]
-    cnt: Counter = Counter()
-    if not recs:
+    vals = table.values[table.is_squarefree]
+    s = len(vals)
+    if s == 0:
         return GcdHistogram(threshold, 0, 0, ())
-
-    def gcd_of(i: int, j: int) -> int:
-        out = 1
-        for p in sets[i] & sets[j]:
-            out *= p
-        return out
-
     if pairs is None:
-        total = len(recs) ** 2
-        for i in range(len(recs)):
-            for j in range(len(recs)):
-                cnt[gcd_of(i, j)] += 1
+        i = np.arange(s)
+        (gcds,), counts = _scan_tally(vals, vals, i + 1, s - i - 1, lambda r, g, k: (g,), (vals,))
     else:
         rng = np.random.default_rng(seed)
-        total = pairs
-        ii = rng.integers(0, len(recs), size=pairs)
-        jj = rng.integers(0, len(recs), size=pairs)
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            cnt[gcd_of(i, j)] += 1
-    above = sum(c for d, c in cnt.items() if d > threshold)
+        ii = rng.integers(0, s, size=pairs)
+        jj = rng.integers(0, s, size=pairs)
+        lengths = np.ones(pairs, dtype=np.int64)
+        (gcds,), counts = _scan_tally(vals[ii], vals, jj, lengths, lambda r, g, k: (g,))
     return GcdHistogram(
         threshold=threshold,
-        total_pairs=total,
-        above_threshold=above,
-        counts=tuple(sorted(cnt.items())),
+        total_pairs=int(counts.sum()),
+        above_threshold=int(counts[gcds > threshold].sum()),
+        counts=tuple(zip(gcds.tolist(), counts.tolist())),
     )

@@ -137,6 +137,15 @@ class ValueTable:
         return self._prime_index
 
 
+def multi_slice(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices covering [s, s+l) for each (s, l) pair, concatenated."""
+    total = int(lengths.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    offs = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return np.arange(total, dtype=np.int64) - offs + np.repeat(starts, lengths)
+
+
 def _sieve(P: IntPolynomial, N: int, ps: np.ndarray, rs: np.ndarray) -> ValueTable:
     values = values_int64(P, 1, N + 1)
     residual = values.copy()

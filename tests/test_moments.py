@@ -4,10 +4,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyrmf.moments import (
     GcdHistogram,
     KernelKey,
+    _pair_scan,
     fourth_moment_exact,
     gcd_class_histogram,
     mcleish_condition_sums,
@@ -87,15 +89,98 @@ def test_fourth_moment_brute_force():
         assert fourth_moment_exact(t) == count, coeffs
 
 
-def test_fourth_moment_int64_and_primeset_paths_agree(x2p1):
-    t = sieve_values(x2p1, 80)
-    fast = fourth_moment_exact(t)
+# small primes and primes near 10**5: a product of two large ones passes
+# 2**31, and a kernel of four large ones passes int64
+_SMALL = (2, 3, 5, 7, 11, 13)
+_LARGE = (99901, 99923, 99961, 99971, 99989, 99991)
+
+
+def _table_of(factor_lists):
+    """ValueTable whose row n holds the product of factor_lists[n - 1]."""
+    recs = []
+    for n, fac in enumerate(factor_lists, start=1):
+        fac = tuple(sorted(fac))
+        recs.append(ValueRecord(
+            n, math.prod(p**e for p, e in fac), fac, all(e == 1 for _, e in fac),
+            fac[-1][0] if fac else None,
+        ))
+    return ValueTable.from_records(IntPolynomial((0, 1)), recs)
+
+
+def test_fourth_moment_kernels_past_int64_match_prime_set_oracle():
+    rng = np.random.default_rng(5)
+    rows = []
+    for _ in range(60):
+        small = [p for p in _SMALL if rng.random() < 0.4]
+        large = rng.choice(_LARGE, size=2, replace=False).tolist()
+        rows.append([(p, 1) for p in small + large])
+    rows += [rows[3], rows[17], [], [(2, 2), (_LARGE[0], 1)]]
+    t = _table_of(rows)
+    assert t.values[t.is_squarefree].min() == 1
+    assert t.values[t.is_squarefree].max() >= 1 << 31
     cnt = Counter()
     sets = [frozenset(p for p, _ in r.factors) for r in t if r.is_squarefree]
     for sa in sets:
         for sb in sets:
             cnt[sa.symmetric_difference(sb)] += 1
-    assert fast == sum(c * c for c in cnt.values())
+    assert max(math.prod(k) for k in cnt) >= 1 << 63
+    assert fourth_moment_exact(t) == sum(c * c for c in cnt.values())
+    _assert_scan_exact(t)
+
+
+def _assert_scan_exact(t):
+    """_pair_scan over all ordered pairs gives each pair's row, gcd and kernel exactly."""
+    vals = t.values[t.is_squarefree]
+    s = len(vals)
+    chunks = _pair_scan(vals, vals, np.zeros(s, np.int64), np.full(s, s))
+    scanned = [(r, g, k) for c in chunks for r, g, k in zip(*(a.tolist() for a in c))]
+    want = []
+    for i, a in enumerate(vals.tolist()):
+        for b in vals.tolist():
+            g = math.gcd(a, b)
+            want.append((i, g, a * b // g**2))
+    assert scanned == want
+
+
+@st.composite
+def _prime_pool_tables(draw):
+    """Tables over at most 12 primes, with repeats, value 1 and squares."""
+    row = st.tuples(
+        st.sets(st.sampled_from(_SMALL)),
+        st.sets(st.sampled_from(_LARGE), max_size=2),
+        st.sampled_from((None,) + _SMALL),
+    )
+    base = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=10))
+    rows = []
+    for i in picks:
+        small, large, square = base[i]
+        fac = {p: 1 for p in small | large}
+        if square is not None:
+            fac[square] = 2
+        rows.append(list(fac.items()))
+    return _table_of(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_prime_pool_tables())
+def test_pair_scan_callers_match_brute_force_hypothesis(t):
+    vals = [r.value for r in t if r.is_squarefree]
+    _assert_scan_exact(t)
+    square = 0
+    for quad in product(vals, repeat=4):
+        prod = math.prod(quad)
+        square += math.isqrt(prod) ** 2 == prod
+    assert fourth_moment_exact(t) == square
+    brute = Counter(math.gcd(a, b) for a in vals for b in vals)
+    hist = gcd_class_histogram(t, threshold=1)
+    assert hist.total_pairs == len(vals) ** 2
+    assert dict(hist.counts) == dict(brute)
+    if not vals:
+        return
+    got = mcleish_condition_sums(t)
+    want = _exhaustive_condition_sums(t)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_no_relation_table_hits_diagonal_floor():
@@ -209,3 +294,19 @@ def test_gcd_histogram_sampled_is_deterministic(table_60):
     assert isinstance(h1, GcdHistogram)
     assert h1.total_pairs == 500
     assert sum(c for _, c in h1.counts) == 500
+
+
+def test_gcd_histogram_sampled_matches_its_draws(table_60):
+    tables = [table_60, _table_of([[(p, 1), (q, 1)] for p in _LARGE for q in _SMALL] + [[]])]
+    for t in tables:
+        vals = t.values[t.is_squarefree].tolist()
+        rng = np.random.default_rng(7)
+        ii = rng.integers(0, len(vals), size=400)
+        jj = rng.integers(0, len(vals), size=400)
+        brute = Counter(math.gcd(vals[i], vals[j]) for i, j in zip(ii.tolist(), jj.tolist()))
+        hist = gcd_class_histogram(t, threshold=3, pairs=400, seed=7)
+        assert dict(hist.counts) == dict(brute)
+        assert hist.above_threshold == sum(c for d, c in brute.items() if d > 3)
+        assert [d for d, _ in hist.counts] == sorted(brute)
+    empty = gcd_class_histogram(table_60, threshold=3, pairs=0, seed=7)
+    assert empty.total_pairs == 0 and empty.above_threshold == 0 and empty.counts == ()
