@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # each demo with one exact line of its output
 _DEMO_LINES = {
     "fluctuation_scan": "set invariants: all hold",
+    "pell_curves": "  x= 665857  y= 470832   ratio vs previous: 5.828",
     "moment_growth": " 4000   3583   38616493   38506501 109992   0.00687",
     "squarefree_density": "   200000      178956   0.89478",
     "smooth_and_largest": "rows with log P+ / log n >= 1: 77203 of 99999 histogrammed",
