@@ -208,6 +208,12 @@ def _csv_header(cfg: dict, extra: dict | None = None) -> list[str]:
     return lines
 
 
+def _write_csv(path: str, cfg: dict, header: str, rows) -> None:
+    lines = _csv_header(cfg) + [header, *rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _run_kappa(cfg: dict):
     p = _parse_poly(cfg["poly"])
     value = kappa_euler(p, prime_bound=cfg["prime_bound"])
@@ -250,10 +256,8 @@ def _run_moments(cfg: dict):
         )
         data["gcd_histogram"] = _plain(hist)
         if cfg["histogram_csv"]:
-            lines = _csv_header(cfg) + ["gcd,count"]
-            lines += [f"{d},{c}" for d, c in hist.counts]
-            with open(cfg["histogram_csv"], "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            _write_csv(cfg["histogram_csv"], cfg, "gcd,count",
+                       (f"{d},{c}" for d, c in hist.counts))
     return data, None
 
 
@@ -291,11 +295,9 @@ def _run_clt(cfg: dict):
         prime_bound=cfg["prime_bound"],
     )
     if cfg["histogram_csv"]:
-        lines = _csv_header(cfg) + ["bin_left,bin_right,count"]
-        for i, c in enumerate(report.hist_counts):
-            lines.append(f"{report.hist_edges[i]!r},{report.hist_edges[i + 1]!r},{c}")
-        with open(cfg["histogram_csv"], "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        edges, counts = report.hist_edges, report.hist_counts
+        _write_csv(cfg["histogram_csv"], cfg, "bin_left,bin_right,count",
+                   (f"{lo!r},{hi!r},{c}" for lo, hi, c in zip(edges, edges[1:], counts)))
     return _plain(report), None
 
 
@@ -317,10 +319,7 @@ def _run_curves(cfg: dict):
             "points": [[x, y] for x, y in shown],
         }
         if cfg["points_csv"]:
-            lines = _csv_header(cfg) + ["x,y"]
-            lines += [f"{x},{y}" for x, y in pts]
-            with open(cfg["points_csv"], "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            _write_csv(cfg["points_csv"], cfg, "x,y", (f"{x},{y}" for x, y in pts))
         return data, None
     if not cfg["n_grid"]:
         raise ValueError("scan mode needs --n-grid (or pass --a/--b/--n-max)")
@@ -342,16 +341,14 @@ def _run_fluctuations(cfg: dict):
     if cfg["verify"]:
         data["invariants"] = sets.verify_invariants()
     if cfg["scale_csv"]:
-        lines = _csv_header(cfg)
-        lines.append("i,x,set_size,candidate_size,class1_squarefree,beta_exact,beta_hat,sigma_hat")
-        for i, x in enumerate(report.xs):
-            lines.append(
-                f"{i + 1},{x},{report.sizes[i]},{report.candidate_sizes[i]},"
-                f"{report.class1_sf[i]},{report.beta_exact[i]!r},"
-                f"{report.beta_hat[i]!r},{report.sigma_hat[i]!r}"
-            )
-        with open(cfg["scale_csv"], "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(
+            cfg["scale_csv"], cfg,
+            "i,x,set_size,candidate_size,class1_squarefree,beta_exact,beta_hat,sigma_hat",
+            (f"{i + 1},{x},{report.sizes[i]},{report.candidate_sizes[i]},"
+             f"{report.class1_sf[i]},{report.beta_exact[i]!r},"
+             f"{report.beta_hat[i]!r},{report.sigma_hat[i]!r}"
+             for i, x in enumerate(report.xs)),
+        )
     return data, None
 
 

@@ -1,71 +1,21 @@
 """Integral points on a*P(x) = b*P(y) and scan statistics over (a, b).
 
-The solve is exact: values P(1..N) are computed once, the range [1, N] is cut
-into integer intervals on which P is monotone (cuts at the integer neighbors
-of the critical points), and each quotient a*P(x)/b is located by binary
-search inside every piece. Every reported point is verified by an exact
-integer identity, so false positives are impossible; completeness rests on
-the monotone decomposition, which the tests check against a quadratic-time
-scan.
+The solve is exact and needs no critical points of P. With g = gcd(a, b),
+a' = a/g and b' = b/g, the equation holds exactly when P(x) = b'k and
+P(y) = a'k for one integer k. So the exact values P(1..N) give one key per
+admissible x and one per admissible y, and an equal-key join over the sorted
+y-keys lists every point. Keys never exceed |P|, and every reported point is
+verified by an exact integer identity.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import IntPolynomial, monotone_cuts, value_range, values_int64
-
-
-def monotone_pieces(P: IntPolynomial, n_max: int) -> list[tuple[int, int]]:
-    """Closed integer intervals covering [1, n_max], P monotone on each.
-
-    Consecutive pieces share an endpoint; the cuts are those of
-    poly.monotone_cuts.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    cs = monotone_cuts(P, 1, n_max)
-    if len(cs) == 1:
-        return [(1, 1)]
-    return list(zip(cs, cs[1:]))
-
-
-def _locate_in_pieces_int64(vals, pieces, targets):
-    """Yield (target_index, y) with P(y) == targets[target_index], exactly."""
-    out = []
-    for lo, hi in pieces:
-        seg = vals[lo - 1 : hi]
-        asc = bool(seg[0] <= seg[-1])
-        s = seg if asc else seg[::-1]
-        left = np.searchsorted(s, targets, side="left")
-        right = np.searchsorted(s, targets, side="right")
-        for idx in np.nonzero(right > left)[0]:
-            for pos in range(int(left[idx]), int(right[idx])):
-                y = lo + pos if asc else hi - pos
-                out.append((int(idx), y))
-    return out
-
-
-def _integral_points_exact(P, a, b, n_max, vals) -> set[tuple[int, int]]:
-    points: set[tuple[int, int]] = set()
-    pieces = monotone_pieces(P, n_max)
-    segs = []
-    for lo, hi in pieces:
-        seg = vals[lo - 1 : hi]
-        asc = seg[0] <= seg[-1]
-        segs.append((lo, hi, asc, seg if asc else seg[::-1]))
-    for x in range(1, n_max + 1):
-        t, r = divmod(a * vals[x - 1], b)
-        if r:
-            continue
-        for lo, hi, asc, s in segs:
-            i = bisect_left(s, t)
-            while i < len(s) and s[i] == t:
-                points.add((x, lo + i if asc else hi - i))
-                i += 1
-    return points
+from .poly import IntPolynomial, values
+from .sieve import multi_slice
 
 
 def integral_points(
@@ -80,23 +30,22 @@ def integral_points(
         raise ValueError("coefficients a and b must be positive integers")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    (lo_v, _), (hi_v, _) = value_range(P, 1, n_max)
-    if max(a, b) * max(-lo_v, hi_v, 1) >= 1 << 62:  # a, b or a * P(x) would not fit int64
-        vals = [P.eval(x) for x in range(1, n_max + 1)]
-        return sorted(_integral_points_exact(P, a, b, n_max, vals))
-    vals = values_int64(P, 1, n_max + 1)
-    pieces = monotone_pieces(P, n_max)
-    scaled = a * vals
-    rem = scaled % b
-    ok = rem == 0
-    xs = np.nonzero(ok)[0] + 1
-    targets = scaled[ok] // b
-    points: set[tuple[int, int]] = set()
-    for idx, y in _locate_in_pieces_int64(vals, pieces, targets):
-        x = int(xs[idx])
-        assert a * int(vals[x - 1]) == b * int(vals[y - 1])
-        points.add((x, y))
-    return sorted(points)
+    vals = values(P, 1, n_max + 1)
+    g = math.gcd(a, b)
+    a1, b1 = a // g, b // g  # b1 | P(x), a1 | P(y) and P(x)/b1 == P(y)/a1
+    if max(a1, b1) >= 1 << 63:  # divide in Python ints
+        vals = vals.astype(object)
+    xs = np.flatnonzero(vals % b1 == 0)
+    ys = np.flatnonzero(vals % a1 == 0)
+    x_keys = vals[xs] // b1
+    y_keys = vals[ys] // a1
+    order = np.argsort(y_keys, kind="stable")  # ys stay ascending within a key
+    ys, y_keys = ys[order], y_keys[order]
+    left = np.searchsorted(y_keys, x_keys, side="left")
+    counts = np.searchsorted(y_keys, x_keys, side="right") - left
+    px, py = np.repeat(xs, counts), ys[multi_slice(left, counts)]
+    assert all(a * u == b * w for u, w in zip(vals[px].tolist(), vals[py].tolist()))
+    return list(zip((px + 1).tolist(), (py + 1).tolist()))
 
 
 @dataclass(frozen=True)

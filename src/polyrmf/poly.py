@@ -1,17 +1,17 @@
 """Integer polynomials: exact evaluation, classification, and roots modulo m.
 
 Coefficients are stored ascending (constant term first). Scalar arithmetic
-on polynomial values is exact Python-integer arithmetic; values_int64
-evaluates whole ranges in wrapping 64-bit arithmetic, exact whenever the
-values themselves fit int64, which value_range decides exactly. Roots modulo
-primes come from one algorithm for every degree: roots_mod_primes splits P
-modulo a whole array of primes at once by Cantor-Zassenhaus gcds with
-(x + a)**((p - 1)/2) -+ 1, in int64 arithmetic that is exact while
-(deg P + 1) * p**2 < 2**63 and refused with DomainError past it;
-roots_mod_prime is its one-prime wrapper. Roots modulo p**2 come from Hensel
-lifting the roots modulo p: count_roots_mod_prime_squares counts the simple
-ones for all primes at once and lifts the few singular ones in Python
-integers.
+on polynomial values is exact Python-integer arithmetic; values evaluates
+whole ranges exactly, in wrapping 64-bit arithmetic (values_int64) when a
+bound on the coefficients proves every value fits int64 and in Python
+integers otherwise. Roots modulo primes come from one algorithm for every
+degree: roots_mod_primes splits P modulo a whole array of primes at once by
+Cantor-Zassenhaus gcds with (x + a)**((p - 1)/2) -+ 1, in int64 arithmetic
+that is exact while (deg P + 1) * p**2 < 2**63 and refused with DomainError
+past it; roots_mod_prime is its one-prime wrapper. Roots modulo p**2 come
+from Hensel lifting the roots modulo p: count_roots_mod_prime_squares counts
+the simple ones for all primes at once and lifts the few singular ones in
+Python integers.
 """
 from __future__ import annotations
 
@@ -144,13 +144,12 @@ _U64_MASK = (1 << 64) - 1
 
 
 def values_int64(P: IntPolynomial, lo: int, hi: int) -> np.ndarray:
-    """P(n) for lo <= n < hi as an int64 array.
+    """P(n) mod 2**64, as int64, for lo <= n < hi.
 
     Horner's rule runs in wrapping uint64 arithmetic with every coefficient
     reduced mod 2**64. Reduction mod 2**64 is a ring map from Z, so each
-    entry is P(n) mod 2**64, which is P(n) itself whenever every value lies in
-    int64, however large the coefficients or the intermediates. Callers
-    establish that first with value_range.
+    entry is P(n) itself whenever every value lies in int64, however large
+    the coefficients or the intermediates; values decides when that holds.
     """
     n = np.arange(lo, hi, dtype=np.int64).view(np.uint64)
     acc = np.full(len(n), P.leading & _U64_MASK, dtype=np.uint64)
@@ -160,46 +159,22 @@ def values_int64(P: IntPolynomial, lo: int, hi: int) -> np.ndarray:
     return acc.view(np.int64)
 
 
-def monotone_cuts(P: IntPolynomial, lo: int, hi: int) -> list[int]:
-    """Sorted integers of [lo, hi], lo and hi included, with P monotone between neighbours.
+def values(P: IntPolynomial, lo: int, hi: int) -> np.ndarray:
+    """P(n) for lo <= n < hi, exact.
 
-    Besides lo and hi, the cuts are floor(r) - 1 .. floor(r) + 2 for the
-    real part r of every root of P'. The padding absorbs the floating-point
-    error of np.roots; the interval between two adjacent integers is
-    trivially monotone, so a critical point strictly inside one is harmless.
-    Non-real roots contribute as well: an extra cut costs one evaluation, and
-    two close real critical points can come back as a complex pair.
-
-    np.roots works in floats, so the coefficients of P' are first divided by
-    the largest power of two not above its leading coefficient; that leaves
-    the roots unchanged and takes coefficients of any size. Raises DomainError
-    when a coefficient exceeds the leading one by a factor of about 10**308,
-    past the float range.
+    The array is int64 exactly when every value fits it, and holds Python
+    ints otherwise. When sum |c_i| * M**i < 2**63 for M = max(|lo|, |hi - 1|)
+    every value fits, and values_int64 computes them; past that bound they
+    are evaluated in Python ints and cast to int64 if they all fit.
     """
-    cuts = {lo, hi}
-    if P.degree >= 2:
-        d = P.derivative_coeffs()[::-1]
-        scale = 1 << (abs(d[0]).bit_length() - 1)
-        try:
-            scaled = [c / scale for c in d]
-        except OverflowError:
-            raise DomainError(
-                "a coefficient exceeds the leading one by more than the float range"
-            ) from None
-        for r in np.roots(scaled):
-            base = math.floor(r.real)
-            cuts.update(c for c in range(base - 1, base + 3) if lo <= c <= hi)
-    return sorted(cuts)
-
-
-def value_range(P: IntPolynomial, lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """((min P(n), argmin), (max P(n), argmax)) over the integers lo..hi, exact.
-
-    The extrema lie among the monotone cuts, where P is evaluated in Python
-    integers; ties go to the smallest n.
-    """
-    vals = [(P(c), c) for c in monotone_cuts(P, lo, hi)]
-    return min(vals, key=lambda vc: vc[0]), max(vals, key=lambda vc: vc[0])
+    m = max(abs(lo), abs(hi - 1))
+    if sum(abs(c) * m**i for i, c in enumerate(P.coeffs)) < 1 << 63:
+        return values_int64(P, lo, hi)
+    vals = [P.eval(n) for n in range(lo, hi)]
+    try:
+        return np.array(vals, dtype=np.int64)
+    except OverflowError:
+        return np.array(vals, dtype=object)
 
 
 def _is_rational_root(coeffs: tuple[int, ...], num: int, den: int) -> bool:

@@ -24,15 +24,12 @@ from .poly import (
     count_roots_mod_prime_squares,
     is_admissible,
     roots_mod_primes,
-    value_range,
-    values_int64,
+    values,
 )
 
 # hard cap on the prime sieve bound; values whose square root exceeds this
-# cannot be factored at acceptable cost. It also keeps every sieved value
-# below (2**27 + 1)**2 < 2**55, inside int64, which is what makes the
-# wrapping Horner evaluation of values_int64 exact however large the
-# coefficients are.
+# cannot be factored at acceptable cost. Every sieved value stays below
+# (2**27 + 1)**2 < 2**55, so the table built from values is int64.
 _MAX_SIEVE_BOUND = 1 << 27
 
 
@@ -146,9 +143,9 @@ def multi_slice(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - offs + np.repeat(starts, lengths)
 
 
-def _sieve(P: IntPolynomial, N: int, ps: np.ndarray, rs: np.ndarray) -> ValueTable:
-    values = values_int64(P, 1, N + 1)
-    residual = values.copy()
+def _sieve(P: IntPolynomial, N: int, vals: np.ndarray, ps: np.ndarray,
+           rs: np.ndarray) -> ValueTable:
+    residual = vals.copy()
     # one (row, p) hit for every row n = r (mod p), progression by progression
     starts = (rs - 1) % ps
     counts = (N - 1 - starts) // ps + 1
@@ -180,7 +177,7 @@ def _sieve(P: IntPolynomial, N: int, ps: np.ndarray, rs: np.ndarray) -> ValueTab
     largest = np.zeros(N, dtype=np.int64)
     nonempty = row_ptr[1:] > row_ptr[:-1]
     largest[nonempty] = primes[row_ptr[1:][nonempty] - 1]
-    return ValueTable(P, N, values, sf, largest, primes, exps, row_ptr)
+    return ValueTable(P, N, vals, sf, largest, primes, exps, row_ptr)
 
 
 def sieve_values(P: IntPolynomial, N: int) -> ValueTable:
@@ -192,19 +189,24 @@ def sieve_values(P: IntPolynomial, N: int) -> ValueTable:
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    (minv, arg), (maxv, _) = value_range(P, 1, N)
-    if minv < 1:
+    limit = (_MAX_SIEVE_BOUND + 1) ** 2  # smallest value needing a prime past the bound
+    # the ends first: a range already past the limit there is refused unevaluated
+    maxv = max(P(1), P(N))
+    if maxv < limit:
+        vals = values(P, 1, N + 1)
+        arg = int(np.argmin(vals))
+        if vals[arg] < 1:
+            raise DomainError(
+                f"P({arg + 1}) = {vals[arg]} is not positive; shift the polynomial "
+                f"(replace x by x + s) so that values on [1, {N}] are at least 1"
+            )
+        maxv = int(vals.max())
+    if maxv >= limit:
         raise DomainError(
-            f"P({arg}) = {minv} is not positive; shift the polynomial "
-            f"(replace x by x + s) so that values on [1, {N}] are at least 1"
-        )
-    bound = math.isqrt(maxv)
-    if bound > _MAX_SIEVE_BOUND:
-        raise DomainError(
-            f"values reach {maxv}; sieving would need primes up to {bound}, "
+            f"values reach {maxv}; sieving would need primes up to {math.isqrt(maxv)}, "
             f"beyond the supported bound {_MAX_SIEVE_BOUND}"
         )
-    return _sieve(P, N, *roots_mod_primes(P, primes_up_to(bound)))
+    return _sieve(P, N, vals, *roots_mod_primes(P, primes_up_to(math.isqrt(maxv))))
 
 
 def squarefree_count(table: ValueTable) -> int:

@@ -162,6 +162,15 @@ def test_curves_fixed_pair(capsys, tmp_path):
     assert "x,y" in pts_csv.read_text().splitlines()
 
 
+def test_curves_counts_both_branches_of_a_flat_sextic(capsys):
+    # (x - 10**4)**6: x == y, or x + y == 20000 for 9990 <= x <= 10010
+    sextic = ("1000000000000000000000000,-600000000000000000000,"
+              "150000000000000000,-20000000000000,1500000000,-60000,1")
+    env = run_json(capsys, "curves", "--poly", sextic, "--a", "1", "--b", "1",
+                   "--n-max", "10010", "--max-points", "0")
+    assert env["data"]["count"] == 10030
+
+
 def test_curves_scan_mode(capsys):
     env = run_json(capsys, "curves", "--poly", "1,0,1", "--n-grid", "50,100",
                    "--ab-samples", "20", "--ab-max", "50", "--seed", "0")

@@ -1,13 +1,18 @@
+import numpy as np
 import pytest
 
-from polyrmf.curves import (
-    CurveScanReport,
-    _integral_points_exact,
-    exponent_scan,
-    integral_points,
-    monotone_pieces,
-)
-from polyrmf.poly import IntPolynomial
+from polyrmf.curves import CurveScanReport, exponent_scan, integral_points
+from polyrmf.poly import IntPolynomial, values
+
+
+def _brute(vals, a, b):
+    n = len(vals)
+    return sorted(
+        (x, y)
+        for x in range(1, n + 1)
+        for y in range(1, n + 1)
+        if a * vals[x - 1] == b * vals[y - 1]
+    )
 
 
 def test_pell_points(x2p1):
@@ -41,19 +46,14 @@ def test_completeness_against_quadratic_scan():
         IntPolynomial((10, -6, 1)),  # non-monotone on the range
         IntPolynomial((2, 0, 0, 1)),
         IntPolynomial((3, 2)),
+        IntPolynomial((0, 10**400, 1)),  # P' = 2x + 10**400 has no float form
     ]
     pairs = [(1, 1), (1, 2), (2, 1), (3, 5), (7, 11), (2, 4), (25, 4)]
     n = 150
     for poly in polys:
         vals = [poly.eval(x) for x in range(1, n + 1)]
         for a, b in pairs:
-            brute = sorted(
-                (x, y)
-                for x in range(1, n + 1)
-                for y in range(1, n + 1)
-                if a * vals[x - 1] == b * vals[y - 1]
-            )
-            assert integral_points(poly, a, b, n) == brute, (poly.coeffs, a, b)
+            assert integral_points(poly, a, b, n) == _brute(vals, a, b), (poly.coeffs, a, b)
 
 
 def test_big_coefficient_path():
@@ -76,15 +76,9 @@ def test_huge_cancelling_coefficients_take_int64_path():
     n = 4
     vals = [p.eval(x) for x in range(1, n + 1)]
     assert vals == [6, 4, 4, 6] and max(abs(c) for c in p.coeffs) > 2**63
+    assert values(p, 1, n + 1).dtype == np.int64
     for a, b in [(1, 1), (2, 3), (3, 2), (2, 1)]:
-        exact = sorted(_integral_points_exact(p, a, b, n, vals))
-        brute = sorted(
-            (x, y)
-            for x in range(1, n + 1)
-            for y in range(1, n + 1)
-            if a * vals[x - 1] == b * vals[y - 1]
-        )
-        assert integral_points(p, a, b, n) == exact == brute, (a, b)
+        assert integral_points(p, a, b, n) == _brute(vals, a, b), (a, b)
     assert integral_points(p, 2, 3, n) == [(1, 2), (1, 3), (4, 2), (4, 3)]
 
 
@@ -96,18 +90,6 @@ def test_validation():
         integral_points(p, 1, -2, 10)
     with pytest.raises(ValueError):
         integral_points(p, 1, 1, 0)
-
-
-def test_monotone_pieces_cover_range():
-    for coeffs in [(1, 0, 1), (10, -6, 1), (0, -1, 0, 1), (5, 1)]:
-        poly = IntPolynomial(coeffs)
-        pieces = monotone_pieces(poly, 40)
-        assert pieces[0][0] == 1 and pieces[-1][1] == 40
-        for (lo1, hi1), (lo2, hi2) in zip(pieces, pieces[1:]):
-            assert hi1 == lo2
-        for lo, hi in pieces:
-            seg = [poly.eval(x) for x in range(lo, hi + 1)]
-            assert seg == sorted(seg) or seg == sorted(seg, reverse=True)
 
 
 def test_exponent_scan_report(x2p1):

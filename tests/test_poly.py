@@ -20,7 +20,7 @@ from polyrmf.poly import (
     roots_mod,
     roots_mod_prime,
     roots_mod_primes,
-    value_range,
+    values,
     values_int64,
 )
 
@@ -356,6 +356,14 @@ def test_roots_mod_prime_square_brute_force_hypothesis(coeffs, content, p):
     assert list(roots_mod(poly, p * p)) == expected
 
 
+def _vanishing(lo, length):
+    """(x - lo)(x - lo - 1)...(x - lo - length + 1)."""
+    vanish = IntPolynomial((-lo, 1))
+    for n in range(lo + 1, lo + length):
+        vanish = vanish * IntPolynomial((-n, 1))
+    return vanish
+
+
 def _wrap64(v):
     return (v + 2**63) % 2**64 - 2**63
 
@@ -384,9 +392,7 @@ def test_values_int64_exact_with_huge_cancelling_coefficients_hypothesis(small, 
     # P = Q + k * (x - lo)(x - lo - 1)...: huge coefficients, P = Q on the range
     if small[-1] == 0:
         small = small[:-1] + [1]
-    vanish = IntPolynomial((-lo, 1))
-    for n in range(lo + 1, lo + length):
-        vanish = vanish * IntPolynomial((-n, 1))
+    vanish = _vanishing(lo, length)
     width = max(len(small), len(vanish.coeffs))
     q = small + [0] * (width - len(small))
     w = list(vanish.coeffs) + [0] * (width - len(vanish.coeffs))
@@ -400,26 +406,32 @@ def test_values_int64_exact_with_huge_cancelling_coefficients_hypothesis(small, 
 
 
 @given(
-    st.lists(st.integers(-1000, 1000), min_size=2, max_size=6),
-    st.integers(-300, 300),
-    st.integers(0, 300),
+    st.lists(st.integers(-5, 5), min_size=2, max_size=5),
+    st.sampled_from((0, 1, -3, 2**40, 2**70, -(2**90))),
+    st.sampled_from((0, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**80)),
+    st.integers(-1000, 1000),
+    st.integers(1, 6),
 )
-def test_value_range_matches_brute_force_hypothesis(coeffs, lo, width):
-    # degrees 1-5; ties resolve to the smallest n
-    if coeffs[-1] == 0:
-        coeffs = coeffs[:-1] + [1]
+def test_values_match_eval_hypothesis(small, k, edge, lo, length):
+    # P = Q + k * (x - lo)...(x - lo - length + 1) with Q(lo) = edge: values
+    # at and around the int64 boundary, from coefficients that cancel on the
+    # range when k is huge
+    if small[-1] == 0:
+        small = small[:-1] + [1]
+    small = [small[0] + edge - IntPolynomial(small).eval(lo), *small[1:]]
+    w = list(_vanishing(lo, length).coeffs)
+    width = max(len(small), len(w))
+    q = small + [0] * (width - len(small))
+    w += [0] * (width - len(w))
+    coeffs = [a + k * b for a, b in zip(q, w)]
+    if all(c == 0 for c in coeffs[1:]):
+        return
     poly = IntPolynomial(coeffs)
-    vals = [(poly.eval(n), n) for n in range(lo, lo + width + 1)]
-    low = min(vals, key=lambda vn: vn[0])
-    high = max(vals, key=lambda vn: vn[0])
-    assert value_range(poly, lo, lo + width) == (low, high)
-
-
-def test_value_range_past_float_range():
-    big = IntPolynomial((3, 0, 10**400))
-    assert value_range(big, -2, 5) == ((3, 0), (25 * 10**400 + 3, 5))
-    with pytest.raises(DomainError):  # P' = 2x + 10**400 has no float form
-        value_range(IntPolynomial((0, 10**400, 1)), 1, 10)
+    exact = [poly.eval(n) for n in range(lo, lo + length)]
+    got = values(poly, lo, lo + length)
+    fits = all(-(2**63) <= v < 2**63 for v in exact)
+    assert got.dtype == (np.int64 if fits else object)
+    assert got.tolist() == exact
 
 
 def test_roots_mod_crt_consistency():

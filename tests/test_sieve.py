@@ -6,8 +6,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from polyrmf.errors import DomainError
-from polyrmf.poly import IntPolynomial, count_roots_mod_prime_square, value_range
+from polyrmf.poly import IntPolynomial, count_roots_mod_prime_square
 from polyrmf.sieve import (
+    _MAX_SIEVE_BOUND,
     LargestPrimeStats,
     ValueRecord,
     ValueTable,
@@ -195,11 +196,24 @@ def test_smooth_count_validates():
 
 
 def test_extrema_on_range():
-    p = IntPolynomial((10, -6, 1))  # vertex at 3
-    assert value_range(p, 1, 5)[0] == (1, 3)
-    assert value_range(p, 1, 5)[1][0] == 5
-    q = IntPolynomial((0, 1))
-    assert value_range(q, 4, 9) == ((4, 4), (9, 9))
+    # sieve_values checks the exact extrema of P on [1, N], here found in
+    # Python ints: (x - 10**4)**4 vanishes inside the range, and
+    # limit - (x - 10**4)**2 needs a prime past the sieve bound only at 10**4
+    limit = (_MAX_SIEVE_BOUND + 1) ** 2
+    quartic = IntPolynomial((10**16, -4 * 10**12, 6 * 10**8, -4 * 10**4, 1))
+    hump = IntPolynomial((limit - 10**8, 2 * 10**4, -1))
+    for P, N in ((IntPolynomial((10, -6, 1)), 5), (quartic, 2 * 10**4), (hump, 2 * 10**4)):
+        vals = [P(n) for n in range(1, N + 1)]
+        low, high = min(vals), max(vals)
+        if low < 1:
+            with pytest.raises(DomainError, match=rf"P\({vals.index(low) + 1}\) = {low} is not"):
+                sieve_values(P, N)
+        elif high >= limit:
+            assert max(P(1), P(N)) < limit
+            with pytest.raises(DomainError, match=f"values reach {high};"):
+                sieve_values(P, N)
+        else:
+            assert sieve_values(P, N).values.tolist() == vals
 
 
 def test_prime_index_consistency(x2p1):
@@ -240,7 +254,8 @@ def test_sieve_values_match_factorint_hypothesis(coeffs, content, N):
         coeffs[-1] = content
     P = IntPolynomial(coeffs)
     while True:
-        (minv, _), (maxv, _) = value_range(P, 1, N)
+        vals = [P(n) for n in range(1, N + 1)]
+        minv, maxv = min(vals), max(vals)
         if max(-minv, maxv) <= 10**10:
             break
         N //= 2
