@@ -7,12 +7,14 @@ Rademacher samplers give f(p) = +-1 i.i.d. with f supported on squarefree
 values; Steinhaus samplers give f(p) uniform on the unit circle extended
 completely multiplicatively.
 
-trial_sums is the one place f is summed. One sparse incidence matrix per
-table, rows by distinct primes holding exponents, serves both models: for a
-block of trials, Rademacher f is the parity of A @ sign bits on squarefree
-rows and Steinhaus f is exp(2 pi i A @ angles). The block's group sums are
-one sparse product with a 0/1 row-to-group matrix. Results depend neither
-on trial order nor on block size.
+trial_sums is the one place f is summed. Rademacher trials run 64 to a
+word: bit t of a prime's uint64 sign word is the sign bit of its hash under
+seed t, the XOR of a squarefree row's prime words holds f at that row for
+all 64 trials, and the group sums come from sparse products of a 0/1
+row-to-group matrix with the unpacked bits. Steinhaus f is
+exp(2 pi i A @ angles), from one cached sparse incidence matrix A per table
+(rows by distinct primes, holding exponents), summed by the same group
+matrix. Results depend neither on trial order nor on block size.
 """
 from __future__ import annotations
 
@@ -38,8 +40,10 @@ _SEED_TWEAK = 0xA0761D6478BD642F
 _PRIME_TWEAK = 0xE7037ED1A0B428DB
 _MIX_C1 = 0xBF58476D1CE4E5B9
 _MIX_C2 = 0x94D049BB133111EB
-# f-values held at once by trial_sums: rows x trials per block
+# f-values held at once by trial_sums: rows x trials per product
 _BLOCK_ENTRIES = 1 << 17
+# primes hashed at once against a word of 64 Rademacher seeds
+_HASH_TILE = 1024
 
 
 def mix64(z: int) -> int:
@@ -132,40 +136,93 @@ def _incidence(table: ValueTable) -> sparse.csr_matrix:
     return table._rmf_incidence
 
 
+def _sign_words(pm: np.ndarray, s0: np.ndarray) -> np.ndarray:
+    """One word per prime whose bit t is the sign bit of prime_hash(seeds[t], p).
+
+    pm holds mix64(p ^ _PRIME_TWEAK) per prime and s0 mix64(seed ^ _SEED_TWEAK)
+    for at most 64 seeds. The hash runs in place on tiles of _HASH_TILE
+    primes. Its last step, z ^ (z >> 31), leaves bit 63 as it is, so it is
+    skipped.
+    """
+    packed = np.zeros((len(pm), 8), dtype=np.uint8)
+    z = np.empty((min(len(pm), _HASH_TILE), len(s0)), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    for lo in range(0, len(pm), _HASH_TILE):
+        hi = min(lo + _HASH_TILE, len(pm))
+        zt, tt = z[:hi - lo], tmp[:hi - lo]
+        np.bitwise_xor(pm[lo:hi, None], s0, out=zt)
+        np.right_shift(zt, np.uint64(30), out=tt)
+        zt ^= tt
+        zt *= np.uint64(_MIX_C1)
+        np.right_shift(zt, np.uint64(27), out=tt)
+        zt ^= tt
+        zt *= np.uint64(_MIX_C2)
+        signs = np.packbits(zt >= np.uint64(1 << 63), axis=1, bitorder="little")
+        packed[lo:hi, :signs.shape[1]] = signs
+    return packed.view("<u8")[:, 0]
+
+
+def _row_parity_words(table: ValueTable, words: np.ndarray) -> np.ndarray:
+    """Per row, the XOR of its primes' sign words; 0 on non-squarefree rows.
+
+    Bit t of a squarefree row's word is 1 exactly when f(P(n)) = -1 in trial
+    t. A unit row holds no prime, so its word is 0 and f = 1 there.
+    """
+    out = np.zeros(table.n_max, dtype=np.uint64)
+    starts = table.row_ptr[:-1]
+    nonempty = starts < table.row_ptr[1:]
+    out[nonempty] = np.bitwise_xor.reduceat(words[table.prime_index()[1]], starts[nonempty])
+    out[~np.asarray(table.is_squarefree)] = 0
+    return out
+
+
 def trial_sums(table: ValueTable, seeds, model: str, groups=None) -> np.ndarray:
     """Group sums of f(P(n)), one row per trial seed: shape (len(seeds), n_groups).
 
-    groups is a scipy.sparse 0/1 matrix, table rows by groups, and row t is
-    groups.T @ f for seeds[t]; groups=None is one group of all rows. Trials
-    run in blocks of _BLOCK_ENTRIES // n_max: each block hashes its seeds
-    against every prime at once and gets f for all rows from the incidence
-    matrix A (rows by primes, holding exponents), so a unit row is an empty
-    row with f = 1. Each column of a block is computed alone, so a row
-    depends on its own seed only, not on trial order or block size.
-    Rademacher sums are integers, exact in float64.
+    groups is a 0/1 matrix, scipy.sparse or dense, table rows by groups, and
+    row t is groups.T @ f for seeds[t]; groups=None is one group of all
+    rows. Each trial depends on its own seed only, not on trial order or
+    block size.
+
+    Rademacher trials run in words of 64 seeds. A word's sign bits are one
+    uint64 per prime (bit t is the sign of f(p) in trial t), and the XOR of
+    the words of a squarefree row's primes holds f at that row for all 64
+    trials. With sf the squarefree indicator and bits the odd-parity bit of
+    one trial, the group sums are groups.T @ sf - 2 (groups.T @ bits): exact
+    integers in float64. At most max(1, _BLOCK_ENTRIES // n_max) trial
+    columns of bits are unpacked for one product.
+
+    Steinhaus trials run in blocks of max(1, _BLOCK_ENTRIES // n_max) seeds:
+    each block hashes its seeds against every prime and gets
+    f = exp(2 pi i A @ angles) for all rows from the incidence matrix A
+    (rows by primes, holding exponents), so a unit row has f = 1.
     """
     if model not in _MODELS:
         raise ValueError(f"model must be one of {_MODELS}")
     if groups is None:
         groups = sparse.csc_array(np.ones((table.n_max, 1)))
-    A = _incidence(table)
+    gT = groups.T
     pm = _mix64_u64(table.prime_index()[0].astype(np.uint64) ^ np.uint64(_PRIME_TWEAK))
-    sf = np.asarray(table.is_squarefree)[:, None]
     seeds = (np.asarray(seeds, dtype=object) & _MASK).astype(np.uint64)
+    s0 = _mix64_u64(seeds ^ np.uint64(_SEED_TWEAK))
     dtype = np.float64 if model == RADEMACHER else np.complex128
     out = np.empty((len(seeds), groups.shape[1]), dtype=dtype)
     block = max(1, _BLOCK_ENTRIES // table.n_max)
+    if model == RADEMACHER:
+        sf_sums = (gT @ np.asarray(table.is_squarefree, dtype=np.float64))[:, None]
+        for lo in range(0, len(seeds), 64):
+            hi = min(lo + 64, len(seeds))
+            words = _row_parity_words(table, _sign_words(pm, s0[lo:hi]))
+            for c in range(lo, hi, block):
+                shifts = np.arange(c - lo, min(c + block, hi) - lo, dtype=np.uint64)
+                bits = ((words[:, None] >> shifts) & np.uint64(1)).astype(np.float64)
+                out[c:c + len(shifts)] = (sf_sums - 2 * (gT @ bits)).T
+        return out
+    A = _incidence(table)
     for lo in range(0, len(seeds), block):
-        s0 = _mix64_u64(seeds[lo:lo + block] ^ np.uint64(_SEED_TWEAK))
-        h = _mix64_u64(pm[:, None] ^ s0)
-        if model == RADEMACHER:
-            # a row holds at most 61 prime factors (values < 2**62): int8 is exact
-            odd = (A @ (h >> np.uint64(63)).astype(np.float64)).astype(np.int8) & 1
-            f = np.where(sf, 1 - 2 * odd, 0)
-        else:
-            frac = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
-            f = np.exp(2j * np.pi * (A @ frac))
-        out[lo:lo + block] = (groups.T @ f).T
+        h = _mix64_u64(pm[:, None] ^ s0[lo:lo + block])
+        frac = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        out[lo:lo + block] = (gT @ np.exp(2j * np.pi * (A @ frac))).T
     return out
 
 

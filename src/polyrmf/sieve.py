@@ -170,7 +170,10 @@ def _sieve(P: IntPolynomial, N: int, vals: np.ndarray, ps: np.ndarray,
     primes = np.concatenate([primes, residual[left]])
     exps = np.concatenate([exps, np.ones(len(left), dtype=np.int16)])
     counts = np.bincount(rows, minlength=N)
-    order = np.argsort(rows, kind="stable")
+    # the stable order by row, from an unstable sort on a unique key
+    rows *= len(rows)
+    rows += np.arange(len(rows))
+    order = np.argsort(rows)
     primes, exps = primes[order], exps[order]
     row_ptr = np.zeros(N + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,36 @@ def test_trial_sums_match_scalar_oracle(coeffs, model):
         else:
             assert np.allclose(got[row], want, atol=1e-9)
             assert np.allclose(whole[row, 0], sum(f), atol=1e-9)
+
+
+def test_packed_rademacher_words_match_f_value(table_1e3):
+    # 64 trials share one sign word: these seed counts cross the word boundaries
+    x2 = sieve_values(IntPolynomial((0, 0, 1)), 300)  # unit and non-squarefree rows
+    for t in (table_1e3, x2):
+        member = np.random.default_rng(t.n_max).random((t.n_max, 4)) < 0.4
+        groups = member.astype(np.float64)
+        seeds = derive_seeds(t.n_max, 130)
+        f = np.array([[f_value(RmfSampler(s), rec) for rec in t] for s in seeds])
+        want = f @ member
+        for count in (0, 1, 63, 64, 65, 130):
+            got = trial_sums(t, seeds[:count], "rademacher", sparse.csc_array(groups))
+            assert got.shape == (count, 4)
+            assert np.array_equal(got, want[:count])
+            assert np.array_equal(trial_sums(t, seeds[:count], "rademacher", groups), got)
+            whole = trial_sums(t, seeds[:count], "rademacher")
+            assert np.array_equal(whole[:, 0], f[:count].sum(axis=1))
+
+
+def test_trial_sums_memory_stays_bounded(x2p1):
+    t = sieve_values(x2p1, 10**5)
+    seeds = derive_seeds(0, 130)
+    tracemalloc.start()
+    try:
+        trial_sums(t, seeds, "rademacher")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 10**6
 
 
 def test_trial_sums_do_not_depend_on_trial_order(table_1e3):
