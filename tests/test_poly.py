@@ -130,6 +130,14 @@ def test_admissibility_against_density_oracle():
 _HUGE_SPLIT = (IntPolynomial((6 * 37, 6 * 10**15)) * IntPolynomial((-(10**15) - 7, 3))).coeffs
 
 
+def _product(factors):
+    """The polynomial prod (a x + b) over the pairs (a, b)."""
+    p = IntPolynomial(factors[0][::-1])
+    for a, b in factors[1:]:
+        p = p * IntPolynomial((b, a))
+    return p
+
+
 def test_classify_examples():
     assert classify(IntPolynomial((1, 0, 1))).kind == IRREDUCIBLE_QUADRATIC
     assert classify(IntPolynomial((3, 0, 1))).kind == IRREDUCIBLE_QUADRATIC
@@ -158,11 +166,46 @@ def test_classify_factors_multiply_back():
         cls = classify(p)
         if cls.kind != LINEAR_FACTORS:
             continue
-        prod = None
-        for a, b in cls.factors:
-            f = IntPolynomial((b, a))
-            prod = f if prod is None else prod * f
-        assert prod.coeffs == p.coeffs
+        assert _product(cls.factors).coeffs == p.coeffs
+
+
+def _sympy_kind(coeffs):
+    """The class of P from sympy's factorization over Z."""
+    x = sympy.Symbol("x")
+    _, parts = sympy.factor_list(sum(c * x**i for i, c in enumerate(coeffs)), x)
+    degrees = [(sympy.degree(f, x), e) for f, e in parts]
+    if all(d == 1 and e == 1 for d, e in degrees):
+        return LINEAR_FACTORS
+    if degrees == [(2, 1)]:
+        return IRREDUCIBLE_QUADRATIC
+    return UNSUPPORTED
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-30, 30), min_size=3, max_size=7),
+    # products of linear factors a x + b drawn from a pool of at most three,
+    # so that repeated factors are common, times a content
+    st.lists(st.tuples(st.integers(1, 6), st.integers(-9, 9)), min_size=1, max_size=3),
+    st.lists(st.integers(0, 2), min_size=2, max_size=6),
+    st.integers(-6, 6).filter(bool),
+    st.booleans(),
+)
+def test_classify_matches_sympy_hypothesis(coeffs, pool, picks, content, split):
+    # degrees 2-6 against sympy's factorization over Z
+    if split:
+        factors = [pool[i % len(pool)] for i in picks]
+        factors[0] = (content * factors[0][0], content * factors[0][1])
+        p = _product(factors)
+    else:
+        if coeffs[-1] == 0:
+            coeffs = coeffs[:-1] + [1]
+        p = IntPolynomial(coeffs)
+    cls = classify(p)
+    assert cls.kind == _sympy_kind(p.coeffs), p.coeffs
+    if cls.kind == LINEAR_FACTORS:
+        assert len(cls.factors) == p.degree
+        assert _product(cls.factors).coeffs == p.coeffs
 
 
 @pytest.mark.parametrize(
