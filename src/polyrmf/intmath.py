@@ -55,13 +55,6 @@ def is_squarefree_int(n: int) -> bool:
     return all(e == 1 for _, e in trial_factorize(n))
 
 
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
 def inv_mod(a: int, m: int) -> int:
     return pow(a, -1, m)
 

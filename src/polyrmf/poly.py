@@ -11,13 +11,14 @@ that is exact while (deg P + 1) * p**2 < 2**63 and refused with DomainError
 past it; roots_mod_prime is its one-prime wrapper. Roots modulo p**2 come
 from Hensel lifting the roots modulo p: count_roots_mod_prime_squares counts
 the simple ones for all primes at once and lifts the few singular ones in
-Python integers.
+Python integers. classify decides every degree on one path: the rational
+roots of P are found p-adically from the roots modulo a prime, lifted and
+reconstructed as fractions, so no divisor of a coefficient is enumerated.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -26,8 +27,8 @@ from .errors import DomainError
 from .intmath import (
     crt_pair,
     inv_mod,
-    is_perfect_square,
     is_squarefree_int,
+    primes_up_to,
     trial_factorize,
 )
 
@@ -41,9 +42,11 @@ class PolyClass:
     """Structural class of a polynomial of degree >= 2.
 
     kind is one of LINEAR_FACTORS (product of pairwise non-proportional
-    integer linear factors a*x + b, listed in factors), IRREDUCIBLE_QUADRATIC,
+    integer linear factors a*x + b, listed in factors, whose product is P
+    exactly: the content of P is folded into the first), IRREDUCIBLE_QUADRATIC,
     or UNSUPPORTED (everything else: repeated factors, irreducible degree >= 3,
-    mixed factorizations).
+    mixed factorizations). The first two make up the class for which the
+    paper proves the Gaussian limit.
     """
 
     kind: str
@@ -177,109 +180,28 @@ def values(P: IntPolynomial, lo: int, hi: int) -> np.ndarray:
         return np.array(vals, dtype=object)
 
 
-def _is_rational_root(coeffs: tuple[int, ...], num: int, den: int) -> bool:
-    # P(num/den) == 0 iff sum c_i num^i den^(d-i) == 0
-    d = len(coeffs) - 1
-    acc = 0
-    for i, c in enumerate(coeffs):
-        acc += c * num**i * den ** (d - i)
-    return acc == 0
-
-
-def _positive_divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, big = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                big.append(n // i)
-        i += 1
-    return small + big[::-1]
-
-
-def _find_rational_root(coeffs: tuple[int, ...]) -> tuple[int, int] | None:
-    """A root num/den of the polynomial, in lowest terms with den > 0, or None."""
-    if coeffs[0] == 0:
-        return (0, 1)
-    for den in _positive_divisors(coeffs[-1]):
-        for num in _positive_divisors(coeffs[0]):
-            if math.gcd(num, den) != 1:
-                continue
-            for s in (num, -num):
-                if _is_rational_root(coeffs, s, den):
-                    return (s, den)
-    return None
-
-
-def _divide_linear(coeffs: tuple[int, ...], den: int, num: int) -> tuple[int, ...]:
-    """Quotient of the polynomial by (den*x - num); the division must be exact."""
-    work = [Fraction(c) for c in reversed(coeffs)]  # descending
-    quot: list[Fraction] = []
-    carry = Fraction(0)
-    for c in work[:-1]:
-        q = (c + carry) / den
-        quot.append(q)
-        carry = q * num
-    assert work[-1] + carry == 0, "linear factor does not divide exactly"
-    out = []
-    for q in reversed(quot):
-        assert q.denominator == 1, "quotient is not an integer polynomial"
-        out.append(int(q))
-    return tuple(out)
-
-
-def _split_linear_factors(P: IntPolynomial) -> tuple[tuple[int, int], ...] | None:
-    """Write P as a product of integer linear factors (a, b) ~ a*x + b, or None.
-
-    The returned factors multiply out to P exactly; any constant content is
-    absorbed into the first factor.
-    """
-    work = P.coeffs
-    factors: list[tuple[int, int]] = []
-    while len(work) > 1:
-        root = _find_rational_root(work)
-        if root is None:
-            return None
-        num, den = root
-        factors.append((den, -num))
-        work = _divide_linear(work, den, num)
-    const = work[0]
-    if const != 1:
-        a, b = factors[0]
-        factors[0] = (a * const, b * const)
-    return tuple(factors)
-
-
 @lru_cache(maxsize=512)
 def classify(P: IntPolynomial) -> PolyClass:
-    """Classify a polynomial of degree >= 2 by its factorization over Z."""
+    """Classify a polynomial of degree >= 2 by its factorization over Z.
+
+    One path for every degree: P is LINEAR_FACTORS when _rational_roots
+    finds deg P distinct rational roots num/den, with the factors
+    den*x - num and the content lead / prod den (an integer by Gauss's
+    lemma) folded into the first. Otherwise a quadratic with b**2 != 4ac is
+    IRREDUCIBLE_QUADRATIC and everything else is UNSUPPORTED.
+    """
     if P.degree < 2:
         raise ValueError("classification needs degree >= 2")
+    roots = _rational_roots(P)
+    if roots is not None:
+        factors = [(den, -num) for num, den in roots]
+        const = P.leading // math.prod(den for _, den in roots)
+        factors[0] = (const * factors[0][0], const * factors[0][1])
+        return PolyClass(LINEAR_FACTORS, tuple(factors))
     if P.degree == 2:
-        # decided from the discriminant: no divisor search, whatever the size
-        # of the coefficients. A nonzero square D gives the rational roots
-        # (-b +- sqrt D)/2a, and the content goes into the first factor.
         c, b, a = P.coeffs
-        disc = b * b - 4 * a * c
-        if disc == 0:
-            return PolyClass(UNSUPPORTED)
-        if not is_perfect_square(disc):
+        if b * b != 4 * a * c:
             return PolyClass(IRREDUCIBLE_QUADRATIC)
-        s = math.isqrt(disc)
-        r1, r2 = Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)
-        const = a // (r1.denominator * r2.denominator)
-        first = (const * r1.denominator, -const * r1.numerator)
-        return PolyClass(LINEAR_FACTORS, (first, (r2.denominator, -r2.numerator)))
-    factors = _split_linear_factors(P)
-    if factors is not None:
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                (a1, b1), (a2, b2) = factors[i], factors[j]
-                if a1 * b2 - a2 * b1 == 0:  # proportional: same root
-                    return PolyClass(UNSUPPORTED)
-        return PolyClass(LINEAR_FACTORS, factors)
     return PolyClass(UNSUPPORTED)
 
 
@@ -292,6 +214,12 @@ def _eval_mod(coeffs, x: int, m: int) -> int:
     for c in reversed(coeffs):
         acc = (acc * x + c) % m
     return acc
+
+
+def _newton_step(P: IntPolynomial, r: int, m: int) -> int:
+    """The root r - P(r)/P'(r) mod m**2 above a root r of P mod m with P'(r) a unit."""
+    slope = _eval_mod(P.derivative_coeffs(), r, m)
+    return (r - _eval_mod(P.coeffs, r, m * m) * inv_mod(slope, m)) % (m * m)
 
 
 # Roots modulo many primes at once. Every array below holds one row per prime
@@ -518,33 +446,82 @@ def _lift_kinds(P: IntPolynomial, ps: np.ndarray, rs: np.ndarray) -> tuple[np.nd
     return simple, fibre
 
 
-def _hensel_lifts(P: IntPolynomial, p: int) -> tuple[list[int], list[int] | range]:
-    """Roots of P mod p**2 as (single, fibres).
+def _rational_roots(P: IntPolynomial) -> list[tuple[int, int]] | None:
+    """The d = deg P roots (num, den) of P, in lowest terms with den > 0, when
+    P has d distinct rational roots; None otherwise.
 
-    single lists roots mod p**2, the lifts of the simple roots mod p; each r
-    in fibres is a root mod p all of whose p lifts r + t*p are roots mod
-    p**2 (see _lift_kinds). When p divides every coefficient, P = p*Q and
-    P(x) = 0 mod p**2 exactly when Q(x) = 0 mod p, so the fibres are the
-    roots of Q mod p. The roots mod p come from roots_mod_prime, so this
-    raises DomainError once (deg P + 1) * p**2 >= 2**63.
+    The roots are found p-adically (Loos, "Computing rational zeros of
+    integral polynomials by p-adic expansion", SIAM J. Comput. 12, 1983).
+    Every root has |num|, den <= h = max |c_i|, so fewer than need primes
+    divide the leading coefficient or some num_i den_j - num_j den_i. If P
+    has d distinct rational roots, one of the first need primes therefore
+    has d roots, all simple as P mod p has degree d, and at any prime that
+    does they are the rational roots reduced mod p. The primes are scanned in
+    chunks of doubling size up to the first with d roots; its roots are
+    Newton-lifted to p**(2**j) > 2h**2, recovered as fractions by rational
+    reconstruction and checked exactly against P. Raises DomainError, as
+    roots_mod_primes does, if the scan reaches a prime p with
+    (d + 1) * p**2 >= 2**63.
     """
-    if all(c % p == 0 for c in P.coeffs):
-        return [], roots_mod_prime(IntPolynomial([c // p for c in P.coeffs]), p)
-    rs = np.asarray(roots_mod_prime(P, p), dtype=np.int64)
-    simple, fibre = _lift_kinds(P, np.full_like(rs, p), rs)
-    m = p * p
-    dcoeffs = P.derivative_coeffs()
-    single = [
-        (r - _eval_mod(P.coeffs, r, m) * inv_mod(_eval_mod(dcoeffs, r, p), p)) % m
-        for r in rs[simple].tolist()
-    ]
-    return single, rs[fibre].tolist()
+    d, coeffs = P.degree, P.coeffs
+    h = max(abs(c) for c in coeffs)
+    bits = h.bit_length()
+    need = d * (d - 1) // 2 * (2 * bits + 1) + bits + 1
+    bound, seen = 32, 0
+    while seen < need:
+        bound *= 2
+        q = primes_up_to(bound)[seen:need]
+        seen += len(q)
+        q = q[_mod_primes(P.leading, q) != 0]
+        ps, rs = roots_mod_primes(P, q)
+        split, counts = np.unique(ps, return_counts=True)
+        split = split[counts == d]
+        if len(split):
+            break
+    else:
+        return None
+    p = int(split[0])
+    lifted = rs[ps == p].tolist()
+    m = p
+    while m <= 2 * h * h:
+        lifted = [_newton_step(P, r, m) for r in lifted]
+        m *= m
+    roots = []
+    for r in lifted:
+        # rational reconstruction: Euclid's algorithm on (m, r), stopped at
+        # the first remainder num <= h, gives num = den * r mod m with den its
+        # cofactor; as m > 2h**2, no other fraction with |num|, den <= h does
+        r0, r1, s0, s1 = m, r, 0, 1
+        while r1 > h:
+            k = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
+        g = math.gcd(r1, s1) if s1 > 0 else -math.gcd(r1, s1)
+        num, den = r1 // g, s1 // g
+        if sum(c * num**i * den ** (d - i) for i, c in enumerate(coeffs)) != 0:
+            return None
+        roots.append((num, den))
+    return roots
 
 
 def _roots_mod_prime_square(P: IntPolynomial, p: int) -> list[int] | range:
-    single, fibres = _hensel_lifts(P, p)
-    if isinstance(fibres, range):  # P = 0 mod p**2
-        return range(p * p)
+    """Sorted roots of P mod p**2 by Hensel lifting the roots mod p.
+
+    A simple root r mod p lifts to one root mod p**2 by a Newton step; a
+    fibre r (see _lift_kinds) gives all p lifts r + t*p. When p divides every
+    coefficient, P = p*Q and P(x) = 0 mod p**2 exactly when Q(x) = 0 mod p,
+    so the roots of Q mod p are the fibres. The roots mod p come from
+    roots_mod_prime, so this raises DomainError once (deg P + 1) * p**2 >=
+    2**63.
+    """
+    if all(c % p == 0 for c in P.coeffs):
+        single, fibres = [], roots_mod_prime(IntPolynomial([c // p for c in P.coeffs]), p)
+        if isinstance(fibres, range):  # P = 0 mod p**2
+            return range(p * p)
+    else:
+        rs = np.asarray(roots_mod_prime(P, p), dtype=np.int64)
+        simple, fibre = _lift_kinds(P, np.full_like(rs, p), rs)
+        single = [_newton_step(P, r, p) for r in rs[simple].tolist()]
+        fibres = rs[fibre].tolist()
     return sorted(single + [r + t * p for r in fibres for t in range(p)])
 
 
@@ -553,8 +530,8 @@ def count_roots_mod_prime_squares(P: IntPolynomial, primes) -> np.ndarray:
 
     rho(p**2) counts the residues r mod p**2 with P(r) = 0 mod p**2: one for
     each simple root mod p and p for each fibre (see _lift_kinds), found for
-    all primes at once. The few primes dividing every coefficient are counted
-    by _hensel_lifts. Raises DomainError once (deg P + 1) * p**2 >= 2**63, as
+    all primes at once. A prime dividing every coefficient counts p for each
+    root of P/p mod p. Raises DomainError once (deg P + 1) * p**2 >= 2**63, as
     roots_mod_primes does.
     """
     q, at = np.unique(np.asarray(primes).reshape(-1), return_inverse=True)
@@ -567,9 +544,9 @@ def count_roots_mod_prime_squares(P: IntPolynomial, primes) -> np.ndarray:
     lifts = np.where(simple, 1, np.where(fibre, ps, 0))
     # the float sums are exact: each is at most deg P * p < 2**53
     rho = np.bincount(np.searchsorted(q, ps), weights=lifts, minlength=len(q)).astype(np.int64)
-    for p in content.tolist():
-        single, fibres = _hensel_lifts(P, p)
-        rho[np.searchsorted(q, p)] = len(single) + p * len(fibres)
+    for p in content.tolist():  # P = 0 mod p**2 exactly when P/p = 0 mod p
+        quotient = IntPolynomial([c // p for c in P.coeffs])
+        rho[np.searchsorted(q, p)] = p * len(roots_mod_prime(quotient, p))
     return rho[at]
 
 

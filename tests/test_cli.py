@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +72,31 @@ def test_kappa_quadratic_with_huge_constant(capsys):
     d = env["data"]
     assert d["kind"] == "irreducible_quadratic"
     assert d["kappa"] == kappa_euler(IntPolynomial((10**20 + 1, 0, 1)), 2000)
+
+
+# x^3 + x + 10^20 + 1, and (x + 10^12)(x + 10^12 + 1)(x + 10^12 + 3): a divisor
+# search over their constant terms would not finish
+_HUGE_CUBIC_CONSTANT = "100000000000000000001,1,0,1"
+_HUGE_CUBIC_ROOTS = "1000000000004000000000003000000000000,3000000000008000000000003,3000000000004,1"
+
+
+@pytest.mark.parametrize(
+    "poly,kind",
+    [(_HUGE_CUBIC_CONSTANT, "unsupported"), (_HUGE_CUBIC_ROOTS, "distinct_linear_factors")],
+)
+def test_kappa_classifies_huge_cubics_in_time(poly, kind):
+    # in a subprocess with a timeout, so that a hang fails instead of stalling the suite
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyrmf.cli", "kappa", "--poly", poly, "--prime-bound", "2000"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["data"]["kind"] == kind
 
 
 def test_kappa_data_is_rerun_stable(capsys):

@@ -7,7 +7,6 @@ import sympy
 from polyrmf.intmath import (
     crt_pair,
     inv_mod,
-    is_perfect_square,
     is_squarefree_int,
     primes_up_to,
     sqrt_mod_prime,
@@ -53,12 +52,6 @@ def test_is_squarefree_int_matches_factorization():
     for n in range(1, 500):
         expected = all(e == 1 for e in sympy.factorint(n).values())
         assert is_squarefree_int(n) == expected
-
-
-def test_is_perfect_square():
-    squares = {k * k for k in range(200)}
-    for n in range(0, 5000, 7):
-        assert is_perfect_square(n) == (n in squares)
 
 
 def test_inv_mod():

@@ -125,17 +125,21 @@ def test_admissibility_against_density_oracle():
         assert is_admissible(p) == (not blocked)
 
 
-# 6 (10**15 x + 37)(3x - 10**15 - 7): a split quadratic with content 6 whose
-# coefficients have 10**15-size divisor searches
-_HUGE_SPLIT = (IntPolynomial((6 * 37, 6 * 10**15)) * IntPolynomial((-(10**15) - 7, 3))).coeffs
-
-
 def _product(factors):
     """The polynomial prod (a x + b) over the pairs (a, b)."""
     p = IntPolynomial(factors[0][::-1])
     for a, b in factors[1:]:
         p = p * IntPolynomial((b, a))
     return p
+
+
+# 6 (10**15 x + 37)(3x - 10**15 - 7): a split quadratic with content 6 whose
+# coefficients are far too large for a divisor search
+_HUGE_SPLIT = (IntPolynomial((6 * 37, 6 * 10**15)) * IntPolynomial((-(10**15) - 7, 3))).coeffs
+# x (x - M)(x - 2M) with M the product of the primes below 240: its roots
+# coincide modulo each of those primes, so none of them shows three simple roots
+_M = math.prod(sympy.primerange(2, 240))
+_COINCIDENT_MOD_SMALL_PRIMES = _product([(1, 0), (1, -_M), (1, -2 * _M)]).coeffs
 
 
 def test_classify_examples():
@@ -150,18 +154,21 @@ def test_classify_examples():
     assert classify(IntPolynomial((0, 0, 1))).kind == UNSUPPORTED  # x^2
     assert classify(IntPolynomial((1, 4, 4))).kind == UNSUPPORTED  # (2x+1)^2
     assert classify(IntPolynomial((2, 0, 0, 1))).kind == UNSUPPORTED  # x^3+2
-    # quadratics are decided from the discriminant, whatever the coefficient size
+    # no divisor of a coefficient is searched, whatever its size
     assert classify(IntPolynomial((10**20 + 1, 0, 1))).kind == IRREDUCIBLE_QUADRATIC
     assert classify(IntPolynomial((-(10**20), 1, 1))).kind == IRREDUCIBLE_QUADRATIC
     assert classify(IntPolynomial((1, 2 * 10**15, 10**30))).kind == UNSUPPORTED
     assert classify(IntPolynomial(_HUGE_SPLIT)).kind == LINEAR_FACTORS
+    assert classify(IntPolynomial((10**20 + 1, 1, 0, 1))).kind == UNSUPPORTED
+    assert classify(IntPolynomial(_COINCIDENT_MOD_SMALL_PRIMES)).kind == LINEAR_FACTORS
     with pytest.raises(ValueError):
         classify(IntPolynomial((0, 1)))
 
 
 def test_classify_factors_multiply_back():
     # (0, -1, 0, 1) is x(x-1)(x+1)
-    for coeffs in [(0, 1, 1), (2, 7, 6), (0, -1, 0, 1), (-6, 1, 2), _HUGE_SPLIT]:
+    for coeffs in [(0, 1, 1), (2, 7, 6), (0, -1, 0, 1), (-6, 1, 2), _HUGE_SPLIT,
+                   _COINCIDENT_MOD_SMALL_PRIMES]:
         p = IntPolynomial(coeffs)
         cls = classify(p)
         if cls.kind != LINEAR_FACTORS:
