@@ -333,29 +333,25 @@ def lil_scan(
     seed: int = 0,
     c: float = 0.01,
     sets: PrimeClassSets | None = None,
-    table: ValueTable | None = None,
-    thresholds: tuple[float, ...] | None = None,
 ) -> FluctuationReport:
     """Monte Carlo scan of the scale decomposition under Rademacher f.
 
     Every trial checks the exact three-way partition of each scale's partial
     sum, then the per-scale single-prime sums are studentized by their
     across-trial standard deviation and the maximum over scales is compared
-    against the thresholds (default: sqrt(log k)). Scales whose single-prime
-    sum never varies are excluded from the maximum and reported.
+    against sqrt(log k). Scales whose single-prime sum never varies are
+    excluded from the maximum and reported.
     """
     if trials < 2:
         raise ValueError("need at least two trials")
     if sets is None:
-        sets = build_prime_class_sets(scales, c=c, table=table)
+        sets = build_prime_class_sets(scales, c=c)
     else:
         if sets.scales != scales:
             raise ValueError("sets were built for different scales")
         c = sets.c
     xs = scales.xs
     k = len(xs)
-    if thresholds is None:
-        thresholds = (math.sqrt(math.log(k)),)
     xarr = np.array(xs, dtype=np.int64)
     sums = trial_sums(sets.table, derive_seeds(seed, trials), RADEMACHER, sets.groups)
     s1, s2, s3 = (sums[:, j:3 * k:3] for j in range(3))
@@ -375,7 +371,8 @@ def lil_scan(
         max_stud = np.zeros(trials)
     qs = (0.1, 0.25, 0.5, 0.75, 0.9)
     quants = tuple((float(q), float(np.quantile(max_stud, q))) for q in qs)
-    fractions = tuple((float(u), float((max_stud > u).mean())) for u in thresholds)
+    u = math.sqrt(math.log(k))
+    fractions = ((u, float((max_stud > u).mean())),)
     return FluctuationReport(
         xs=xs,
         mode=scales.mode,
