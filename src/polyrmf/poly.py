@@ -452,27 +452,29 @@ def _rational_roots(P: IntPolynomial) -> list[tuple[int, int]] | None:
 
     The roots are found p-adically (Loos, "Computing rational zeros of
     integral polynomials by p-adic expansion", SIAM J. Comput. 12, 1983).
-    Every root has |num|, den <= h = max |c_i|, so fewer than need primes
-    divide the leading coefficient or some num_i den_j - num_j den_i. If P
-    has d distinct rational roots, one of the first need primes therefore
-    has d roots, all simple as P mod p has degree d, and at any prime that
-    does they are the rational roots reduced mod p. The primes are scanned in
-    chunks of doubling size up to the first with d roots; its roots are
-    Newton-lifted to p**(2**j) > 2h**2, recovered as fractions by rational
-    reconstruction and checked exactly against P. Raises DomainError, as
-    roots_mod_primes does, if the scan reaches a prime p with
-    (d + 1) * p**2 >= 2**63.
+    At a prime p that does not divide the leading coefficient, P mod p has
+    degree d; if P has d distinct rational roots, those reduce to d roots mod
+    p, all simple, unless p divides some num_i den_j - num_j den_i. Every
+    root has |num|, den <= h = max |c_i|, so these differences are nonzero
+    with product D, 0 < |D| <= budget = (2h**2)**(d(d-1)/2), and primes
+    whose product passes budget cannot all divide D. So the primes that do
+    not divide the leading coefficient are scanned in chunks of doubling
+    size, up to the first modulo which P has d roots or until their product
+    passes budget. Those d roots are Newton-lifted to p**(2**j) > 2h**2,
+    recovered as fractions by rational reconstruction and checked exactly
+    against P. Raises DomainError, as roots_mod_primes does, if the scan
+    reaches a prime p with (d + 1) * p**2 >= 2**63.
     """
     d, coeffs = P.degree, P.coeffs
     h = max(abs(c) for c in coeffs)
-    bits = h.bit_length()
-    need = d * (d - 1) // 2 * (2 * bits + 1) + bits + 1
-    bound, seen = 32, 0
-    while seen < need:
+    budget = (2 * h * h) ** (d * (d - 1) // 2)
+    bound, seen, covered = 32, 0, 1
+    while covered <= budget:
         bound *= 2
-        q = primes_up_to(bound)[seen:need]
+        q = primes_up_to(bound)[seen:]
         seen += len(q)
         q = q[_mod_primes(P.leading, q) != 0]
+        covered *= math.prod(q.tolist())
         ps, rs = roots_mod_primes(P, q)
         split, counts = np.unique(ps, return_counts=True)
         split = split[counts == d]
