@@ -1,7 +1,22 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from polyrmf.poly import IntPolynomial
 from polyrmf.sieve import sieve_values
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """The environment for a subprocess, with the package source first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 @pytest.fixture(scope="session")

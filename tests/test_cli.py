@@ -1,9 +1,7 @@
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -84,16 +82,11 @@ _HUGE_CUBIC_ROOTS = "1000000000004000000000003000000000000,300000000000800000000
     "poly,kind",
     [(_HUGE_CUBIC_CONSTANT, "unsupported"), (_HUGE_CUBIC_ROOTS, "distinct_linear_factors")],
 )
-def test_kappa_classifies_huge_cubics_in_time(poly, kind):
+def test_kappa_classifies_huge_cubics_in_time(poly, kind, src_env):
     # in a subprocess with a timeout, so that a hang fails instead of stalling the suite
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "polyrmf.cli", "kappa", "--poly", poly, "--prime-bound", "2000"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        env=src_env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["data"]["kind"] == kind

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,14 +25,10 @@ _DEMO_LINES = {
 
 
 @pytest.mark.parametrize("demo", list(_DEMO_LINES))
-def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
+def test_demo_runs(demo, src_env):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        cwd=ROOT, env=src_env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
