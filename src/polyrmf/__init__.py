@@ -1,9 +1,9 @@
 """Random multiplicative functions at polynomial arguments.
 
 Exact sieving and factor tables for polynomial values, squarefree-kernel
-moment counts, Pell-type curve point enumeration, seeded random
-multiplicative function samplers with Monte Carlo CLT experiments, and
-multi-scale fluctuation scans.
+moment counts, Pell-type curve point enumeration, seeded Monte Carlo CLT
+experiments on random multiplicative functions, and multi-scale fluctuation
+scans.
 """
 from .errors import DomainError, InfeasibleScaleError
 from .poly import (
@@ -15,7 +15,6 @@ from .poly import (
     classify,
     fixed_divisor,
     is_admissible,
-    roots_mod,
 )
 from .sieve import (
     LargestPrimeStats,
@@ -29,18 +28,16 @@ from .sieve import (
 )
 from .moments import (
     GcdHistogram,
-    KernelKey,
     MomentReport,
     fourth_moment_exact,
     gcd_class_histogram,
     mcleish_condition_sums,
     moment_report,
     off_diagonal_count,
-    pair_kernel,
     second_moment_exact,
 )
 from .curves import CurveScanReport, exponent_scan, integral_points
-from .rmf import CltReport, RmfSampler, f_value, monte_carlo_clt, partial_sum, partial_sum_by_class
+from .rmf import CltReport, monte_carlo_clt
 from .fluctuations import (
     FluctuationReport,
     PrimeClassSets,
@@ -64,7 +61,6 @@ __all__ = [
     "classify",
     "fixed_divisor",
     "is_admissible",
-    "roots_mod",
     "ValueRecord",
     "ValueTable",
     "LargestPrimeStats",
@@ -73,10 +69,8 @@ __all__ = [
     "kappa_euler",
     "largest_prime_stats",
     "smooth_count",
-    "KernelKey",
     "MomentReport",
     "GcdHistogram",
-    "pair_kernel",
     "second_moment_exact",
     "fourth_moment_exact",
     "off_diagonal_count",
@@ -86,11 +80,7 @@ __all__ = [
     "CurveScanReport",
     "integral_points",
     "exponent_scan",
-    "RmfSampler",
     "CltReport",
-    "f_value",
-    "partial_sum",
-    "partial_sum_by_class",
     "monte_carlo_clt",
     "ScaleSet",
     "PrimeClassSets",

@@ -25,7 +25,7 @@ from scipy import sparse
 
 from .errors import InfeasibleScaleError
 from .poly import IntPolynomial
-from .rmf import RADEMACHER, RmfSampler, derive_seeds, trial_sums
+from .rmf import RADEMACHER, derive_seeds, trial_sums
 from .sieve import ValueTable, multi_slice, sieve_values
 
 THEORETICAL = "theoretical"
@@ -128,22 +128,6 @@ def _occurrence_groups(table: ValueTable, theta_min: float):
     has2 = counts >= 2
     second_n[has2] = n_s[starts[has2] + 1]
     return uprimes, starts, counts, first_n, second_n, n_s
-
-
-def threshold_primes(table: ValueTable, x: int, c: float) -> np.ndarray:
-    """Primes above c * x * log x dividing some value with n <= x, sorted.
-
-    This is the raw threshold set, before the single-witness and freshness
-    filters that carve out the per-scale sets.
-    """
-    if x < 2 or x > table.n_max:
-        raise ValueError("x must be in [2, table.n_max]")
-    lengths = np.diff(table.row_ptr)
-    rows = np.repeat(np.arange(table.n_max, dtype=np.int64), lengths)
-    fp = table.flat_primes
-    theta = c * x * math.log(x)
-    m = (rows < x) & (fp > theta)
-    return np.unique(fp[m])
 
 
 @dataclass
@@ -282,21 +266,19 @@ def build_prime_class_sets(
 
 
 def three_sum_decomposition(
-    sampler: RmfSampler, sets: PrimeClassSets, scale_index: int
+    seed: int, sets: PrimeClassSets, scale_index: int
 ) -> tuple[int, int, int]:
-    """Split the partial sum at scale number scale_index (1-based) exactly.
+    """Split the Rademacher partial sum at scale number scale_index (1-based) exactly.
 
-    Returns (single-new-prime rows, other-scale rows, untouched rows); the
-    three add up to the partial sum over n <= x_i.
+    Returns (single-new-prime rows, other-scale rows, untouched rows) for the
+    trial seed; the three add up to the partial sum over n <= x_i.
     """
     k = len(sets.scales.xs)
     if not 1 <= scale_index <= k:
         raise ValueError(f"scale_index must be in [1, {k}]")
     cols = sets.groups[:, 3 * scale_index - 3:3 * scale_index]
-    parts = trial_sums(sets.table, [sampler.seed], sampler.model, cols)[0]
-    if sampler.model == RADEMACHER:
-        return tuple(int(round(float(p))) for p in parts)
-    return tuple(parts)
+    parts = trial_sums(sets.table, [seed], RADEMACHER, cols)[0]
+    return tuple(int(round(float(p))) for p in parts)
 
 
 @dataclass(frozen=True)

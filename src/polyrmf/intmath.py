@@ -1,4 +1,4 @@
-"""Small exact integer helpers: primes, factorization, modular square roots, CRT."""
+"""Small exact integer helpers: primes, factorization and squarefreeness."""
 from __future__ import annotations
 
 import math
@@ -54,46 +54,3 @@ def is_squarefree_int(n: int) -> bool:
         return False
     return all(e == 1 for _, e in trial_factorize(n))
 
-
-def inv_mod(a: int, m: int) -> int:
-    return pow(a, -1, m)
-
-
-def sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A square root of a mod prime p, or None when a is a non-residue.
-
-    Tonelli-Shanks; returns the smaller of the two roots for determinism.
-    """
-    a %= p
-    if p == 2 or a == 0:
-        return a % p
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # p = 1 mod 4: full Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m_, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2 = t
-        i = 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m_ - i - 1), p)
-        m_, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return min(r, p - r)
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """The residue mod m1*m2 that is r1 mod m1 and r2 mod m2 (m1, m2 coprime)."""
-    t = (r2 - r1) * inv_mod(m1 % m2, m2) % m2
-    return (r1 + m1 * t) % (m1 * m2)

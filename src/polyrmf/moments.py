@@ -12,57 +12,16 @@ kernels, counted by one sort and its run lengths.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .intmath import trial_factorize
-from .sieve import ValueRecord, ValueTable, multi_slice
+from .sieve import ValueTable, multi_slice
 
 # integer kernels of int64 value pairs stay within int64 below this
 _INT64_VALUE_LIMIT = 1 << 31
 # pairs handed to numpy at once by the pair scan
 _PAIR_CHUNK = 1 << 20
-
-
-@dataclass(frozen=True)
-class KernelKey:
-    """Canonical identifier of the squarefree kernel of a value pair.
-
-    primes is the sorted tuple of primes dividing exactly one of the two
-    values. Two keys are equal exactly when the kernels agree as integers.
-    """
-
-    primes: tuple[int, ...]
-
-    @property
-    def value(self) -> int:
-        return math.prod(self.primes)
-
-
-def _prime_set(x) -> frozenset[int]:
-    if isinstance(x, ValueRecord):
-        if not x.is_squarefree:
-            raise ValueError(f"record n={x.n} is not squarefree")
-        return frozenset(p for p, _ in x.factors)
-    x = int(x)
-    if x < 1:
-        raise ValueError("values must be positive")
-    fac = trial_factorize(x)
-    if any(e > 1 for _, e in fac):
-        raise ValueError(f"{x} is not squarefree")
-    return frozenset(p for p, _ in fac)
-
-
-def pair_kernel(a, b) -> KernelKey:
-    """KernelKey of two squarefree values (ValueRecords or plain ints).
-
-    Works off the factor lists; the kernel integer itself is never formed
-    unless KernelKey.value is asked for.
-    """
-    sa, sb = _prime_set(a), _prime_set(b)
-    return KernelKey(tuple(sorted(sa.symmetric_difference(sb))))
 
 
 def _multiplicity_sums(table: ValueTable) -> tuple[int, int, int]:

@@ -8,12 +8,12 @@ integers otherwise. Roots modulo primes come from one algorithm for every
 degree: roots_mod_primes splits P modulo a whole array of primes at once by
 Cantor-Zassenhaus gcds with (x + a)**((p - 1)/2) -+ 1, in int64 arithmetic
 that is exact while (deg P + 1) * p**2 < 2**63 and refused with DomainError
-past it; roots_mod_prime is its one-prime wrapper. Roots modulo p**2 come
-from Hensel lifting the roots modulo p: count_roots_mod_prime_squares counts
-the simple ones for all primes at once and lifts the few singular ones in
-Python integers. classify decides every degree on one path: the rational
-roots of P are found p-adically from the roots modulo a prime, lifted and
-reconstructed as fractions, so no divisor of a coefficient is enumerated.
+past it. Roots modulo p**2 are counted, not listed, by Hensel lifting the
+roots modulo p: count_roots_mod_prime_squares counts the simple ones for all
+primes at once and lifts the few singular ones in Python integers. classify
+decides every degree on one path: the rational roots of P are found
+p-adically from the roots modulo a prime, lifted and reconstructed as
+fractions, so no divisor of a coefficient is enumerated.
 """
 from __future__ import annotations
 
@@ -24,13 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .intmath import (
-    crt_pair,
-    inv_mod,
-    is_squarefree_int,
-    primes_up_to,
-    trial_factorize,
-)
+from .intmath import is_squarefree_int, primes_up_to
 
 LINEAR_FACTORS = "distinct_linear_factors"
 IRREDUCIBLE_QUADRATIC = "irreducible_quadratic"
@@ -39,14 +33,15 @@ UNSUPPORTED = "unsupported"
 
 @dataclass(frozen=True)
 class PolyClass:
-    """Structural class of a polynomial of degree >= 2.
+    """Structural class of an integer polynomial.
 
-    kind is one of LINEAR_FACTORS (product of pairwise non-proportional
-    integer linear factors a*x + b, listed in factors, whose product is P
-    exactly: the content of P is folded into the first), IRREDUCIBLE_QUADRATIC,
-    or UNSUPPORTED (everything else: repeated factors, irreducible degree >= 3,
-    mixed factorizations). The first two make up the class for which the
-    paper proves the Gaussian limit.
+    kind is one of LINEAR_FACTORS (product of at least two pairwise
+    non-proportional integer linear factors a*x + b, listed in factors, whose
+    product is P exactly: the content of P is folded into the first),
+    IRREDUCIBLE_QUADRATIC, or UNSUPPORTED (everything else: linear P,
+    repeated factors, irreducible degree >= 3, mixed factorizations). The
+    first two make up the class for which the paper proves the Gaussian
+    limit.
     """
 
     kind: str
@@ -182,16 +177,17 @@ def values(P: IntPolynomial, lo: int, hi: int) -> np.ndarray:
 
 @lru_cache(maxsize=512)
 def classify(P: IntPolynomial) -> PolyClass:
-    """Classify a polynomial of degree >= 2 by its factorization over Z.
+    """Classify P by its factorization over Z.
 
-    One path for every degree: P is LINEAR_FACTORS when _rational_roots
+    A linear P is UNSUPPORTED: it lies outside the paper's class. Every
+    other degree takes one path: P is LINEAR_FACTORS when _rational_roots
     finds deg P distinct rational roots num/den, with the factors
     den*x - num and the content lead / prod den (an integer by Gauss's
     lemma) folded into the first. Otherwise a quadratic with b**2 != 4ac is
     IRREDUCIBLE_QUADRATIC and everything else is UNSUPPORTED.
     """
     if P.degree < 2:
-        raise ValueError("classification needs degree >= 2")
+        return PolyClass(UNSUPPORTED)
     roots = _rational_roots(P)
     if roots is not None:
         factors = [(den, -num) for num, den in roots]
@@ -206,7 +202,7 @@ def classify(P: IntPolynomial) -> PolyClass:
 
 
 # ---------------------------------------------------------------------------
-# roots modulo primes, prime squares, and squarefree m
+# roots modulo primes and root counts modulo prime squares
 
 
 def _eval_mod(coeffs, x: int, m: int) -> int:
@@ -219,7 +215,7 @@ def _eval_mod(coeffs, x: int, m: int) -> int:
 def _newton_step(P: IntPolynomial, r: int, m: int) -> int:
     """The root r - P(r)/P'(r) mod m**2 above a root r of P mod m with P'(r) a unit."""
     slope = _eval_mod(P.derivative_coeffs(), r, m)
-    return (r - _eval_mod(P.coeffs, r, m * m) * inv_mod(slope, m)) % (m * m)
+    return (r - _eval_mod(P.coeffs, r, m * m) * pow(slope, -1, m)) % (m * m)
 
 
 # Roots modulo many primes at once. Every array below holds one row per prime
@@ -418,13 +414,6 @@ def roots_mod_primes(P: IntPolynomial, primes) -> tuple[np.ndarray, np.ndarray]:
     return ps[order], rs[order]
 
 
-def roots_mod_prime(P: IntPolynomial, p: int) -> list[int] | range:
-    """Sorted roots of P mod prime p; range(p) when P vanishes identically mod p."""
-    if all(c % p == 0 for c in P.coeffs):
-        return range(p)
-    return roots_mod_primes(P, [p])[1].tolist()
-
-
 def _lift_kinds(P: IntPolynomial, ps: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hensel's lemma for the roots rs[i] of P mod ps[i], as masks (simple, fibre).
 
@@ -505,28 +494,6 @@ def _rational_roots(P: IntPolynomial) -> list[tuple[int, int]] | None:
     return roots
 
 
-def _roots_mod_prime_square(P: IntPolynomial, p: int) -> list[int] | range:
-    """Sorted roots of P mod p**2 by Hensel lifting the roots mod p.
-
-    A simple root r mod p lifts to one root mod p**2 by a Newton step; a
-    fibre r (see _lift_kinds) gives all p lifts r + t*p. When p divides every
-    coefficient, P = p*Q and P(x) = 0 mod p**2 exactly when Q(x) = 0 mod p,
-    so the roots of Q mod p are the fibres. The roots mod p come from
-    roots_mod_prime, so this raises DomainError once (deg P + 1) * p**2 >=
-    2**63.
-    """
-    if all(c % p == 0 for c in P.coeffs):
-        single, fibres = [], roots_mod_prime(IntPolynomial([c // p for c in P.coeffs]), p)
-        if isinstance(fibres, range):  # P = 0 mod p**2
-            return range(p * p)
-    else:
-        rs = np.asarray(roots_mod_prime(P, p), dtype=np.int64)
-        simple, fibre = _lift_kinds(P, np.full_like(rs, p), rs)
-        single = [_newton_step(P, r, p) for r in rs[simple].tolist()]
-        fibres = rs[fibre].tolist()
-    return sorted(single + [r + t * p for r in fibres for t in range(p)])
-
-
 def count_roots_mod_prime_squares(P: IntPolynomial, primes) -> np.ndarray:
     """rho(p**2) for every prime p in primes, as an int64 array in their order.
 
@@ -548,45 +515,5 @@ def count_roots_mod_prime_squares(P: IntPolynomial, primes) -> np.ndarray:
     rho = np.bincount(np.searchsorted(q, ps), weights=lifts, minlength=len(q)).astype(np.int64)
     for p in content.tolist():  # P = 0 mod p**2 exactly when P/p = 0 mod p
         quotient = IntPolynomial([c // p for c in P.coeffs])
-        rho[np.searchsorted(q, p)] = p * len(roots_mod_prime(quotient, p))
+        rho[np.searchsorted(q, p)] = p * len(roots_mod_primes(quotient, [p])[0])
     return rho[at]
-
-
-def count_roots_mod_prime_square(P: IntPolynomial, p: int) -> int:
-    """Number of residues r mod p**2 with P(r) = 0 mod p**2.
-
-    Raises DomainError once (deg P + 1) * p**2 >= 2**63.
-    """
-    return int(count_roots_mod_prime_squares(P, [p])[0])
-
-
-def roots_mod(P: IntPolynomial, m: int) -> list[int] | range:
-    """Sorted residues r in [0, m) with P(r) = 0 mod m.
-
-    m must be squarefree or the square of a prime; these are the only two
-    shapes the rest of the package needs. Root sets are found per prime (or
-    prime square) and recombined with the Chinese Remainder Theorem, so the
-    count is multiplicative over coprime factors. A prime square on which P
-    vanishes identically gives range(m). Roots mod each prime p come from
-    roots_mod_primes, so this raises DomainError for a prime factor p with
-    (deg P + 1) * p**2 >= 2**63.
-    """
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if m == 1:
-        return [0]
-    fac = trial_factorize(m)
-    if len(fac) == 1 and fac[0][1] == 2:
-        return _roots_mod_prime_square(P, fac[0][0])
-    if any(e != 1 for _, e in fac):
-        raise ValueError("modulus must be squarefree or a prime square")
-    residues = [0]
-    modulus = 1
-    for p, _ in fac:
-        pr = roots_mod_prime(P, p)
-        pr_list = list(pr)
-        if not pr_list:
-            return []
-        residues = [crt_pair(r, modulus, s, p) for r in residues for s in pr_list]
-        modulus *= p
-    return sorted(residues)

@@ -1,10 +1,11 @@
 """Random multiplicative functions and Monte Carlo partial-sum statistics.
 
-Prime signs/angles come from a counter-based hash (the splitmix64 finalizer)
-of (seed, prime), so a sampler is a pure function of its seed: no state, no
-order dependence, and the scalar and vectorized paths draw the same f(p).
-Rademacher samplers give f(p) = +-1 i.i.d. with f supported on squarefree
-values; Steinhaus samplers give f(p) uniform on the unit circle extended
+Prime signs/angles come from a counter-based hash of (seed, prime),
+mix64(mix64(p ^ _PRIME_TWEAK) ^ mix64(seed ^ _SEED_TWEAK)) with mix64 the
+splitmix64 finalizer, so a trial is a pure function of its seed: no state
+and no order dependence. Rademacher f takes f(p) = +-1 i.i.d., the sign bit
+of the hash, with f supported on squarefree values; Steinhaus f takes f(p)
+uniform on the unit circle, at the angle 2 pi (hash >> 11) / 2**53, extended
 completely multiplicatively.
 
 trial_sums is the one place f is summed. Rademacher trials run 64 to a
@@ -18,7 +19,6 @@ matrix. Results depend neither on trial order nor on block size.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,7 @@ from scipy.special import ndtr
 from .errors import DomainError
 from .moments import second_moment_exact
 from .poly import IRREDUCIBLE_QUADRATIC, LINEAR_FACTORS, IntPolynomial, classify, is_admissible
-from .sieve import ValueRecord, ValueTable, kappa_euler, sieve_values
+from .sieve import ValueTable, kappa_euler, sieve_values
 
 RADEMACHER = "rademacher"
 STEINHAUS = "steinhaus"
@@ -46,15 +46,8 @@ _BLOCK_ENTRIES = 1 << 17
 _HASH_TILE = 1024
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer on a 64-bit word."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX_C1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX_C2) & _MASK
-    return z ^ (z >> 31)
-
-
 def _mix64_u64(z: np.ndarray) -> np.ndarray:
+    """mix64, the splitmix64 finalizer, on every uint64 word of z."""
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(_MIX_C1)
     z = z ^ (z >> np.uint64(27))
@@ -62,67 +55,10 @@ def _mix64_u64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def prime_hash(seed: int, p: int) -> int:
-    """64-bit hash of (seed, p); the sole source of randomness for f(p)."""
-    return mix64(mix64(p ^ _PRIME_TWEAK) ^ mix64(seed ^ _SEED_TWEAK))
-
-
-def derive_seed(seed: int, index: int) -> int:
-    """Stream seed for trial number index, independent across indices."""
-    if index < 0:
-        raise ValueError("index must be >= 0")
-    return mix64((seed + (index + 1) * _GOLDEN) & _MASK)
-
-
 def derive_seeds(seed: int, count: int) -> list[int]:
-    """derive_seed(seed, t) for t = 0..count-1, in one vector pass."""
+    """Stream seeds of trials 0..count-1: trial t gets mix64(seed + (t + 1) * _GOLDEN)."""
     steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     return _mix64_u64(steps + np.uint64(seed & _MASK)).tolist()
-
-
-def _angle_fraction(h: int) -> float:
-    return (h >> 11) * 2.0**-53
-
-
-@dataclass(frozen=True)
-class RmfSampler:
-    """One realization of a random multiplicative function.
-
-    Frozen and hash-driven: f(p) depends only on (seed, model, p), so values
-    can be queried in any order, in parallel, or recomputed later.
-    """
-
-    seed: int
-    model: str = RADEMACHER
-
-    def __post_init__(self):
-        if self.model not in _MODELS:
-            raise ValueError(f"model must be one of {_MODELS}")
-        object.__setattr__(self, "seed", int(self.seed) & _MASK)
-
-    def f_prime(self, p: int):
-        h = prime_hash(self.seed, p)
-        if self.model == RADEMACHER:
-            return 1 if (h >> 63) == 0 else -1
-        return cmath.exp(2j * cmath.pi * _angle_fraction(h))
-
-    def derive(self, index: int) -> "RmfSampler":
-        return RmfSampler(derive_seed(self.seed, index), self.model)
-
-
-def f_value(sampler: RmfSampler, record: ValueRecord):
-    """f at one table record: int for Rademacher, complex for Steinhaus."""
-    if sampler.model == RADEMACHER:
-        if not record.is_squarefree:
-            return 0
-        out = 1
-        for p, _ in record.factors:
-            out *= sampler.f_prime(p)
-        return out
-    frac = 0.0
-    for p, e in record.factors:
-        frac += e * _angle_fraction(prime_hash(sampler.seed, p))
-    return cmath.exp(2j * cmath.pi * (frac % 1.0))
 
 
 def _incidence(table: ValueTable) -> sparse.csr_matrix:
@@ -137,7 +73,7 @@ def _incidence(table: ValueTable) -> sparse.csr_matrix:
 
 
 def _sign_words(pm: np.ndarray, s0: np.ndarray) -> np.ndarray:
-    """One word per prime whose bit t is the sign bit of prime_hash(seeds[t], p).
+    """One word per prime whose bit t is the sign bit of the hash of (seeds[t], p).
 
     pm holds mix64(p ^ _PRIME_TWEAK) per prime and s0 mix64(seed ^ _SEED_TWEAK)
     for at most 64 seeds. The hash runs in place on tiles of _HASH_TILE
@@ -224,29 +160,6 @@ def trial_sums(table: ValueTable, seeds, model: str, groups=None) -> np.ndarray:
         frac = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
         out[lo:lo + block] = (gT @ np.exp(2j * np.pi * (A @ frac))).T
     return out
-
-
-def partial_sum(sampler: RmfSampler, table: ValueTable):
-    """Sum of f(P(n)) over n = 1..N: exact int for Rademacher."""
-    s = trial_sums(table, [sampler.seed], sampler.model)[0, 0]
-    if sampler.model == RADEMACHER:
-        return int(round(float(s)))
-    return complex(s)
-
-
-def partial_sum_by_class(sampler: RmfSampler, table: ValueTable) -> dict:
-    """Partial sum split by largest prime factor of the value.
-
-    Keys are the class primes, with None for the unit class (value 1). The
-    dict values sum to partial_sum exactly; non-squarefree rows contribute
-    zero under the Rademacher model but land in their class regardless.
-    """
-    u, invc = np.unique(table.largest, return_inverse=True)
-    labels = sparse.csc_matrix((np.ones(len(invc)), (np.arange(len(invc)), invc)))
-    sums = trial_sums(table, [sampler.seed], sampler.model, labels)[0].tolist()
-    if sampler.model == RADEMACHER:
-        sums = [int(round(s)) for s in sums]
-    return {None if lp == 0 else lp: s for lp, s in zip(u.tolist(), sums)}
 
 
 @dataclass(frozen=True)

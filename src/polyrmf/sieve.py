@@ -89,43 +89,6 @@ class ValueTable:
         for n in range(1, self.n_max + 1):
             yield self.record(n)
 
-    @classmethod
-    def from_records(cls, poly: IntPolynomial, records) -> "ValueTable":
-        """Build a table directly from records (testing hook).
-
-        Validates that each factor list multiplies out to its value and that
-        the value stays below 2**62; does not re-check value == poly(n).
-        """
-        records = sorted(records, key=lambda r: r.n)
-        if [r.n for r in records] != list(range(1, len(records) + 1)):
-            raise ValueError("records must cover n = 1..N exactly once")
-        values, sf, largest, fp, fe, ptr = [], [], [], [], [], [0]
-        for r in records:
-            prod = 1
-            for p, e in r.factors:
-                prod *= p**e
-            if prod != r.value:
-                raise ValueError(f"factors of record n={r.n} do not multiply to value")
-            if r.value >= 1 << 62:
-                raise ValueError(f"value of record n={r.n} is not below 2**62")
-            values.append(r.value)
-            sf.append(r.is_squarefree)
-            largest.append(r.largest_prime or 0)
-            for p, e in r.factors:
-                fp.append(p)
-                fe.append(e)
-            ptr.append(len(fp))
-        return cls(
-            poly,
-            len(records),
-            np.array(values, np.int64),
-            np.array(sf, bool),
-            np.array(largest, np.int64),
-            np.array(fp, np.int64),
-            np.array(fe, np.int16),
-            np.array(ptr, np.int64),
-        )
-
     def prime_index(self):
         """(distinct primes ascending, flat index into them) for vector work."""
         if self._prime_index is None:
@@ -221,9 +184,12 @@ def kappa_euler(P: IntPolynomial, prime_bound: int = 100_000) -> float:
     """Truncated Euler product for the squarefree density of P's values.
 
     Product over primes p <= prime_bound of (1 - rho(p^2)/p^2), where rho
-    counts roots of P modulo p^2. The tail beyond 10**5 contributes less than
-    1e-4 for degree <= 4. Requires an admissible polynomial; otherwise some
-    factor vanishes and the product is meaningless.
+    counts roots of P modulo p^2. The product is truncated at prime_bound and
+    no bound on the error of the truncation is given: large coefficients can
+    move it far, e.g. for x^2 + M^2 with M the product of the primes in
+    (10**5, 1.03 * 10**5) the value at prime_bound = 10**5 is 0.26% off.
+    Requires an admissible polynomial; otherwise some factor vanishes and
+    the product is meaningless.
     """
     if not is_admissible(P):
         raise DomainError("polynomial is inadmissible: some p^2 divides every value")

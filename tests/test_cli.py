@@ -72,6 +72,13 @@ def test_kappa_quadratic_with_huge_constant(capsys):
     assert d["kappa"] == kappa_euler(IntPolynomial((10**20 + 1, 0, 1)), 2000)
 
 
+def test_kappa_of_a_linear_polynomial_is_unsupported(capsys):
+    # x + 1 lies outside the paper's class, but its squarefree density is 6/pi^2
+    d = run_json(capsys, "kappa", "--poly", "1,1")["data"]
+    assert d["kind"] == "unsupported"
+    assert d["kappa"] == pytest.approx(6 / math.pi**2, abs=1e-5)
+
+
 # x^3 + x + 10^20 + 1, and (x + 10^12)(x + 10^12 + 1)(x + 10^12 + 3): a divisor
 # search over their constant terms would not finish
 _HUGE_CUBIC_CONSTANT = "100000000000000000001,1,0,1"

@@ -14,11 +14,12 @@ from polyrmf.fluctuations import (
     lil_scan,
     scale_set,
     three_sum_decomposition,
-    threshold_primes,
 )
 from polyrmf.poly import IntPolynomial
-from polyrmf.rmf import RmfSampler, derive_seeds, f_value, trial_sums
+from polyrmf.rmf import derive_seeds, trial_sums
 from polyrmf.sieve import sieve_values
+
+from oracles import f_value
 
 
 def test_theoretical_schedule_pins():
@@ -50,17 +51,6 @@ def test_scale_set_validation():
         scale_set(16, 4, mode="linear")
     with pytest.raises(InfeasibleScaleError):
         scale_set(16, 4, GEOMETRIC, cap=19)  # no room above the base
-
-
-def test_threshold_primes_small_case(x2p1):
-    t = sieve_values(x2p1, 20)
-    got = threshold_primes(t, 10, 0.1)
-    # primes > 0.1 * 10 * ln 10 = 2.30 dividing n^2 + 1 for n <= 10
-    assert got.tolist() == [5, 13, 17, 37, 41, 101]
-    with pytest.raises(ValueError):
-        threshold_primes(t, 1, 0.1)
-    with pytest.raises(ValueError):
-        threshold_primes(t, 21, 0.1)
 
 
 def _brute_sets(xs, c, cap):
@@ -232,15 +222,15 @@ def test_three_sum_is_exact_partition(x2p1):
     t = sieve_values(x2p1, 600)
     sets = build_prime_class_sets(scales, c=0.05, table=t)
     for seed in (0, 5, 11):
-        s = RmfSampler(seed)
         for i, x in enumerate(scales.xs, start=1):
-            parts = three_sum_decomposition(s, sets, i)
-            direct = sum(f_value(s, t.record(n)) for n in range(1, x + 1))
+            parts = three_sum_decomposition(seed, sets, i)
+            assert all(type(part) is int for part in parts)
+            direct = sum(f_value(seed, t.record(n)) for n in range(1, x + 1))
             assert sum(parts) == direct
     with pytest.raises(ValueError):
-        three_sum_decomposition(RmfSampler(0), sets, 0)
+        three_sum_decomposition(0, sets, 0)
     with pytest.raises(ValueError):
-        three_sum_decomposition(RmfSampler(0), sets, 5)
+        three_sum_decomposition(0, sets, 5)
 
 
 def test_single_prime_sum_second_moment(x2p1):

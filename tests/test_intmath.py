@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from polyrmf.intmath import (
-    crt_pair,
-    inv_mod,
-    is_squarefree_int,
-    primes_up_to,
-    sqrt_mod_prime,
-    trial_factorize,
-)
+from polyrmf.intmath import is_squarefree_int, primes_up_to, trial_factorize
 
 
 def test_primes_up_to_matches_sympy():
@@ -53,25 +46,3 @@ def test_is_squarefree_int_matches_factorization():
         expected = all(e == 1 for e in sympy.factorint(n).values())
         assert is_squarefree_int(n) == expected
 
-
-def test_inv_mod():
-    assert inv_mod(3, 7) == 5
-    with pytest.raises(ValueError):
-        inv_mod(2, 4)
-
-
-def test_sqrt_mod_prime_brute():
-    for p in [3, 5, 7, 11, 13, 17, 101, 103]:
-        residues = {(x * x) % p for x in range(p)}
-        for a in range(p):
-            r = sqrt_mod_prime(a, p)
-            if a in residues:
-                assert r is not None and (r * r) % p == a
-            else:
-                assert r is None
-
-
-def test_crt_pair():
-    r = crt_pair(2, 5, 5, 13)
-    assert r % 5 == 2 and r % 13 == 5 and 0 <= r < 65
-    assert crt_pair(1, 2, 2, 3) == 5

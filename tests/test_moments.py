@@ -8,45 +8,32 @@ from hypothesis import given, settings, strategies as st
 
 from polyrmf.moments import (
     GcdHistogram,
-    KernelKey,
     _pair_scan,
     fourth_moment_exact,
     gcd_class_histogram,
     mcleish_condition_sums,
     moment_report,
     off_diagonal_count,
-    pair_kernel,
     second_moment_exact,
 )
 from polyrmf.poly import IntPolynomial
-from polyrmf.sieve import ValueRecord, ValueTable, sieve_values
+from polyrmf.sieve import ValueRecord, sieve_values
 
-
-def test_pair_kernel_examples():
-    k = pair_kernel(6, 10)
-    assert k == KernelKey((3, 5))
-    assert k.value == 15
-    assert pair_kernel(7, 7) == KernelKey(())
-    assert pair_kernel(1, 30).value == 30
-
-
-def test_pair_kernel_accepts_records(x2p1):
-    t = sieve_values(x2p1, 10)
-    assert pair_kernel(t.record(1), t.record(3)).value == 5  # 2 vs 10
-    with pytest.raises(ValueError):
-        pair_kernel(t.record(7), t.record(1))  # 50 is not squarefree
-    with pytest.raises(ValueError):
-        pair_kernel(12, 5)
+from oracles import table_from_records
 
 
 def test_kernel_identity_against_gcd():
+    # the pair scan's kernel (a/d)(b/d), d = gcd(a, b), is the product of the
+    # primes dividing exactly one of a and b
     rng = np.random.default_rng(2)
     squarefree = [n for n in range(1, 400) if all(
         e == 1 for e in Counter(_factor(n)).values())]
-    for _ in range(200):
-        a, b = rng.choice(squarefree, size=2).tolist()
-        d = math.gcd(a, b)
-        assert pair_kernel(a, b).value == (a // d) * (b // d)
+    a, b = rng.choice(squarefree, size=(2, 200))
+    (rows, g, kernels), = _pair_scan(a, b, np.arange(200), np.ones(200, np.int64))
+    for i, d, k in zip(rows.tolist(), g.tolist(), kernels.tolist()):
+        x, y = int(a[i]), int(b[i])
+        assert d == math.gcd(x, y)
+        assert k == math.prod(set(_factor(x)) ^ set(_factor(y)))
 
 
 def _factor(n):
@@ -104,7 +91,7 @@ def _table_of(factor_lists):
             n, math.prod(p**e for p, e in fac), fac, all(e == 1 for _, e in fac),
             fac[-1][0] if fac else None,
         ))
-    return ValueTable.from_records(IntPolynomial((0, 1)), recs)
+    return table_from_records(IntPolynomial((0, 1)), recs)
 
 
 def test_fourth_moment_kernels_past_int64_match_prime_set_oracle():
@@ -187,7 +174,7 @@ def test_no_relation_table_hits_diagonal_floor():
     # distinct primes as values: only paired-off quadruples are squares
     primes = [2, 3, 5, 7, 11, 13, 17, 19]
     recs = [ValueRecord(i + 1, p, ((p, 1),), True, p) for i, p in enumerate(primes)]
-    t = ValueTable.from_records(IntPolynomial((0, 1)), recs)
+    t = table_from_records(IntPolynomial((0, 1)), recs)
     s = len(primes)
     assert fourth_moment_exact(t) == 3 * s * s - 2 * s
     assert off_diagonal_count(t) == 0

@@ -12,17 +12,17 @@ from polyrmf.poly import (
     LINEAR_FACTORS,
     UNSUPPORTED,
     IntPolynomial,
+    PolyClass,
     classify,
-    count_roots_mod_prime_square,
     count_roots_mod_prime_squares,
     fixed_divisor,
     is_admissible,
-    roots_mod,
-    roots_mod_prime,
     roots_mod_primes,
     values,
     values_int64,
 )
+
+from oracles import roots_mod_scan
 
 _SMALL_PRIMES = tuple(sympy.primerange(2, 212))
 
@@ -161,8 +161,8 @@ def test_classify_examples():
     assert classify(IntPolynomial(_HUGE_SPLIT)).kind == LINEAR_FACTORS
     assert classify(IntPolynomial((10**20 + 1, 1, 0, 1))).kind == UNSUPPORTED
     assert classify(IntPolynomial(_COINCIDENT_MOD_SMALL_PRIMES)).kind == LINEAR_FACTORS
-    with pytest.raises(ValueError):
-        classify(IntPolynomial((0, 1)))
+    assert classify(IntPolynomial((0, 1))) == PolyClass(UNSUPPORTED)  # x: one factor
+    assert classify(IntPolynomial((1, 1))).kind == UNSUPPORTED
 
 
 def test_classify_factors_multiply_back():
@@ -215,33 +215,20 @@ def test_classify_matches_sympy_hypothesis(coeffs, pool, picks, content, split):
         assert _product(cls.factors).coeffs == p.coeffs
 
 
-@pytest.mark.parametrize(
-    "m,expected",
-    [(5, [2, 3]), (3, []), (65, [8, 18, 47, 57]), (25, [7, 18]), (1, [0]), (2, [1])],
-)
-def test_roots_mod_examples(m, expected):
-    assert roots_mod(IntPolynomial((1, 0, 1)), m) == expected
-
-
-def test_roots_mod_rejects_bad_moduli():
-    p = IntPolynomial((1, 0, 1))
-    with pytest.raises(ValueError):
-        roots_mod(p, 12)  # 4 * 3, neither squarefree nor a prime square
-    with pytest.raises(ValueError):
-        roots_mod(p, 8)
-
-
 def test_roots_mod_brute_force():
+    # roots modulo small primes and root counts modulo their squares
     rng = np.random.default_rng(5)
-    moduli = [2, 3, 4, 5, 9, 13, 25, 30, 49, 65, 77, 121]
+    primes = [2, 3, 5, 7, 11, 13]
     for _ in range(12):
         coeffs = tuple(int(c) for c in rng.integers(-8, 9, size=int(rng.integers(2, 5))))
         if coeffs[-1] == 0:
             coeffs = coeffs[:-1] + (1,)
         p = IntPolynomial(coeffs)
-        for m in moduli:
-            expected = [x for x in range(m) if p.eval(x) % m == 0]
-            assert roots_mod(p, m) == expected, (coeffs, m)
+        ps, rs = roots_mod_primes(p, primes)
+        got = count_roots_mod_prime_squares(p, primes).tolist()
+        for q, rho in zip(primes, got):
+            assert rs[ps == q].tolist() == roots_mod_scan(coeffs, q), (coeffs, q)
+            assert rho == len(roots_mod_scan(coeffs, q * q)), (coeffs, q)
 
 
 def test_roots_mod_prime_matches_scan_above_dispatch_cutoff():
@@ -260,21 +247,12 @@ def test_roots_mod_prime_matches_scan_above_dispatch_cutoff():
     ]
     for p in [1031, 2003, 5003]:
         for poly in polys:
-            got = roots_mod_prime(poly, p)
-            got = sorted(got) if not isinstance(got, range) else list(got)
+            got = roots_mod_primes(poly, [p])[1].tolist()
             expected = [x for x in range(p) if poly.eval(x) % p == 0]
             assert got == expected, (poly.coeffs, p)
 
 
 _PRIMES_BELOW_2000 = np.array(list(sympy.primerange(2, 2000)), dtype=np.int64)
-
-
-def _roots_scan(coeffs, p):
-    x = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (acc * x + c % p) % p
-    return np.nonzero(acc == 0)[0].tolist()
 
 
 @settings(max_examples=12, deadline=None)
@@ -290,24 +268,21 @@ def test_roots_mod_primes_match_scan_hypothesis(coeffs, content):
     poly = IntPolynomial(coeffs)
     ps, rs = roots_mod_primes(poly, _PRIMES_BELOW_2000)
     assert ps.dtype == rs.dtype == np.int64
-    expected = [(p, r) for p in _PRIMES_BELOW_2000.tolist() for r in _roots_scan(coeffs, p)]
+    expected = [(p, r) for p in _PRIMES_BELOW_2000.tolist() for r in roots_mod_scan(coeffs, p)]
     assert list(zip(ps.tolist(), rs.tolist())) == expected
-    for p in _PRIMES_BELOW_2000.tolist():
-        assert list(roots_mod_prime(poly, p)) == rs[ps == p].tolist()
 
 
 def test_roots_mod_primes_exact_past_the_scan_range():
     p = 10**9 + 7
     poly = IntPolynomial((-4, 0, 1))
-    assert roots_mod_prime(poly, p) == [2, p - 2]
     ps, rs = roots_mod_primes(poly, [p])
     assert ps.tolist() == [p, p] and rs.tolist() == [2, p - 2]
     # the largest primes inside the int64 bound (deg + 1) * p**2 < 2**63,
     # where every intermediate runs closest to overflow; x^2 + x + 1 has no
     # root modulo 1239850223 = 2 mod 3
-    assert roots_mod_prime(poly, 1753413037) == [2, 1753413035]
+    assert roots_mod_primes(poly, [1753413037])[1].tolist() == [2, 1753413035]
     quintic = IntPolynomial((-6, 11, -6, 1)) * IntPolynomial((1, 1, 1))
-    assert roots_mod_prime(quintic, 1239850223) == [1, 2, 3]
+    assert roots_mod_primes(quintic, [1239850223])[1].tolist() == [1, 2, 3]
 
 
 def test_squaring_mod_f_stays_exact_at_the_int64_bound():
@@ -334,14 +309,14 @@ def test_roots_mod_primes_refuses_primes_past_int64():
     with pytest.raises(DomainError):
         roots_mod_primes(poly, [3, 2**31 - 1])
     with pytest.raises(DomainError):
-        roots_mod_prime(poly, 2**31 - 1)
+        roots_mod_primes(poly, [2**31 - 1])
     with pytest.raises(DomainError):
-        roots_mod_prime(poly, 2**89 - 1)
+        roots_mod_primes(poly, [2**89 - 1])
 
 
 def test_roots_mod_prime_content_prime_returns_range():
-    got = roots_mod_prime(IntPolynomial((0, 2, 2)), 2)  # 2x^2+2x: 0 mod 2 always
-    assert isinstance(got, range) and len(got) == 2
+    ps, rs = roots_mod_primes(IntPolynomial((0, 2, 2)), [2, 3])  # 2x^2+2x: 0 mod 2 always
+    assert ps.tolist() == [2, 2, 3, 3] and rs.tolist() == [0, 1, 0, 2]
 
 
 def test_root_count_lagrange_bound():
@@ -351,10 +326,11 @@ def test_root_count_lagrange_bound():
         if coeffs[-1] == 0:
             coeffs = coeffs[:-1] + (1,)
         poly = IntPolynomial(coeffs)
+        ps, _ = roots_mod_primes(poly, [101, 211, 307])
         for p in (101, 211, 307):
             if poly.leading % p == 0:
                 continue
-            assert len(roots_mod_prime(poly, p)) <= poly.degree
+            assert (ps == p).sum() <= poly.degree
 
 
 def test_count_roots_mod_prime_square_brute():
@@ -366,27 +342,15 @@ def test_count_roots_mod_prime_square_brute():
     primes = list(reversed(_SMALL_PRIMES[:12])) + [3]
     for coeffs in polys:
         poly = IntPolynomial(coeffs)
-        expected = [len(_roots_mod_square_scan(coeffs, p)) for p in primes]
+        expected = [len(roots_mod_scan(coeffs, p * p)) for p in primes]
         assert count_roots_mod_prime_squares(poly, primes).tolist() == expected
-        assert [count_roots_mod_prime_square(poly, p) for p in primes] == expected
 
 
 def test_count_roots_mod_prime_square_past_int64_cubes():
-    # p**3 > 2**63 here; the lift must still find both roots of -1 mod p**2
+    # p**3 > 2**63 here; the count must still find both roots of -1 mod p**2
     p = 4000037
     assert p % 4 == 1
-    assert count_roots_mod_prime_square(IntPolynomial((1, 0, 1)), p) == 2
-    roots = roots_mod(IntPolynomial((1, 0, 1)), p * p)
-    assert len(roots) == 2 and all((r * r + 1) % (p * p) == 0 for r in roots)
-
-
-def _roots_mod_square_scan(coeffs, p):
-    m = p * p
-    x = np.arange(m, dtype=np.int64)
-    acc = np.zeros(m, dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (acc * x + c % m) % m
-    return np.nonzero(acc == 0)[0].tolist()
+    assert count_roots_mod_prime_squares(IntPolynomial((1, 0, 1)), [p]).tolist() == [2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,9 +365,8 @@ def test_roots_mod_prime_square_brute_force_hypothesis(coeffs, content, p):
         coeffs = coeffs[:-1] + [1]
     coeffs = [content * c for c in coeffs]
     poly = IntPolynomial(coeffs)
-    expected = _roots_mod_square_scan(coeffs, p)
-    assert count_roots_mod_prime_square(poly, p) == len(expected)
-    assert list(roots_mod(poly, p * p)) == expected
+    expected = roots_mod_scan(coeffs, p * p)
+    assert count_roots_mod_prime_squares(poly, [p]).tolist() == [len(expected)]
 
 
 def _vanishing(lo, length):
@@ -482,15 +445,6 @@ def test_values_match_eval_hypothesis(small, k, edge, lo, length):
     fits = all(-(2**63) <= v < 2**63 for v in exact)
     assert got.dtype == (np.int64 if fits else object)
     assert got.tolist() == exact
-
-
-def test_roots_mod_crt_consistency():
-    p = IntPolynomial((1, 0, 1))
-    r5 = roots_mod(p, 5)
-    r13 = roots_mod(p, 13)
-    r65 = roots_mod(p, 65)
-    assert len(r65) == len(r5) * len(r13)
-    assert all(x % 5 in r5 and x % 13 in r13 for x in r65)
 
 
 @given(st.lists(st.integers(-30, 30), min_size=2, max_size=5))

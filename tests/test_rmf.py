@@ -10,20 +10,10 @@ from polyrmf import rmf
 from polyrmf.errors import DomainError
 from polyrmf.moments import fourth_moment_exact, second_moment_exact
 from polyrmf.poly import IntPolynomial
-from polyrmf.rmf import (
-    CltReport,
-    RmfSampler,
-    derive_seed,
-    derive_seeds,
-    f_value,
-    mix64,
-    monte_carlo_clt,
-    partial_sum,
-    partial_sum_by_class,
-    prime_hash,
-    trial_sums,
-)
+from polyrmf.rmf import CltReport, derive_seeds, monte_carlo_clt, trial_sums
 from polyrmf.sieve import sieve_values
+
+from oracles import derive_seed, f_prime, f_value, mix64, prime_hash
 
 
 def test_hash_pins():
@@ -35,70 +25,65 @@ def test_hash_pins():
 
 
 def test_sign_pins():
-    s = RmfSampler(7)
-    signs = [s.f_prime(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)]
+    signs = [f_prime(7, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)]
     assert signs == [-1, -1, -1, -1, 1, 1, 1, -1, 1, 1]
 
 
 def test_partial_sum_pins(x2p1, table_1e3):
-    assert partial_sum(RmfSampler(2024), table_1e3) == 21
+    assert trial_sums(table_1e3, [2024], "rademacher")[0, 0] == 21
     t300 = sieve_values(x2p1, 300)
-    assert partial_sum(RmfSampler(2024), t300) == -11
+    assert trial_sums(t300, [2024], "rademacher")[0, 0] == -11
 
 
 def test_steinhaus_pin():
-    z = RmfSampler(7, "steinhaus").f_prime(2)
+    z = f_prime(7, 2, "steinhaus")
     assert z.real == pytest.approx(-0.308663144849301, abs=1e-14)
     assert z.imag == pytest.approx(-0.951171416208319, abs=1e-14)
     assert abs(z) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_sampler_validation():
+def test_sampler_validation(table_1e3):
     with pytest.raises(ValueError):
-        RmfSampler(0, "gaussian")
-    s = RmfSampler(-1)
-    assert s.seed == (1 << 64) - 1  # seeds normalize to 64 bits
+        trial_sums(table_1e3, [0], "gaussian")
+    # seeds normalize to 64 bits
+    for model in ("rademacher", "steinhaus"):
+        same = trial_sums(table_1e3, [-1, (1 << 64) - 1], model)
+        assert same[0, 0] == same[1, 0]
 
 
 def test_f_value_multiplicative(x2p1):
     t = sieve_values(x2p1, 50)
-    s = RmfSampler(99)
     for n in (1, 3, 5, 8, 9):
         rec = t.record(n)
-        expected = math.prod(s.f_prime(p) for p, _ in rec.factors)
-        assert f_value(s, rec) == expected
-    assert f_value(s, t.record(7)) == 0  # 50 = 2 * 5^2
+        expected = math.prod(f_prime(99, p) for p, _ in rec.factors)
+        assert f_value(99, rec) == expected
+    assert f_value(99, t.record(7)) == 0  # 50 = 2 * 5^2
 
 
 def test_f_value_on_units():
     t = sieve_values(IntPolynomial((0, 0, 1)), 4)  # x^2
-    s = RmfSampler(5)
-    assert f_value(s, t.record(1)) == 1  # value 1
-    assert partial_sum(s, t) == 1  # all other rows are squares
-    st = RmfSampler(5, "steinhaus")
-    assert f_value(st, t.record(1)) == 1
+    assert f_value(5, t.record(1)) == 1  # value 1
+    assert trial_sums(t, [5], "rademacher")[0, 0] == 1  # all other rows are squares
+    assert f_value(5, t.record(1), "steinhaus") == 1
 
 
 def test_steinhaus_completely_multiplicative(x2p1):
     t = sieve_values(x2p1, 50)
-    s = RmfSampler(31, "steinhaus")
     rec = t.record(7)  # 50 = 2 * 5^2
-    expected = s.f_prime(2) * s.f_prime(5) ** 2
-    assert cmath.isclose(f_value(s, rec), expected, abs_tol=1e-12)
-    assert abs(f_value(s, rec)) == pytest.approx(1.0)
+    expected = f_prime(31, 2, "steinhaus") * f_prime(31, 5, "steinhaus") ** 2
+    assert cmath.isclose(f_value(31, rec, "steinhaus"), expected, abs_tol=1e-12)
+    assert abs(f_value(31, rec, "steinhaus")) == pytest.approx(1.0)
 
 
 def test_scalar_and_vector_paths_agree():
     for coeffs in [(1, 0, 1), (0, 1, 1)]:
         t = sieve_values(IntPolynomial(coeffs), 400)
-        s = RmfSampler(12345)
         rows = sparse.identity(t.n_max, format="csc")
-        vec = trial_sums(t, [s.seed], "rademacher", rows)[0]
-        sca = np.array([f_value(s, rec) for rec in t], dtype=float)
+        vec = trial_sums(t, [12345], "rademacher", rows)[0]
+        sca = np.array([f_value(12345, rec) for rec in t], dtype=float)
         assert np.array_equal(vec, sca)
-        st = RmfSampler(12345, "steinhaus")
-        vecs = trial_sums(t, [st.seed], "steinhaus", rows)[0]
-        scas = np.array([f_value(st, rec) for rec in t], dtype=complex)
+        vecs = trial_sums(t, [12345], "steinhaus", rows)[0]
+        scas = np.array([f_value(12345, rec, "steinhaus") for rec in t], dtype=complex)
         assert np.allclose(vecs, scas, atol=1e-12)
 
 
@@ -119,8 +104,7 @@ def test_trial_sums_match_scalar_oracle(coeffs, model):
     whole = trial_sums(t, seeds, model)
     assert got.shape == (3, 5) and whole.shape == (3, 1)
     for row, seed in enumerate(seeds):
-        s = RmfSampler(seed, model)
-        f = [f_value(s, rec) for rec in t]
+        f = [f_value(seed, rec, model) for rec in t]
         want = [sum(f[n] for n in range(200) if member[n, j]) for j in range(5)]
         if model == "rademacher":
             assert got[row].tolist() == want
@@ -137,7 +121,7 @@ def test_packed_rademacher_words_match_f_value(table_1e3):
         member = np.random.default_rng(t.n_max).random((t.n_max, 4)) < 0.4
         groups = member.astype(np.float64)
         seeds = derive_seeds(t.n_max, 130)
-        f = np.array([[f_value(RmfSampler(s), rec) for rec in t] for s in seeds])
+        f = np.array([[f_value(s, rec) for rec in t] for s in seeds])
         want = f @ member
         for count in (0, 1, 63, 64, 65, 130):
             got = trial_sums(t, seeds[:count], "rademacher", sparse.csc_array(groups))
@@ -191,20 +175,26 @@ def test_trial_sums_do_not_depend_on_block_size(monkeypatch, table_1e3, model):
         monkeypatch.undo()
 
 
-def test_partial_sum_by_class_partitions(x2p1, table_1e3):
-    s = RmfSampler(77)
-    by_class = partial_sum_by_class(s, table_1e3)
-    assert sum(by_class.values()) == partial_sum(s, table_1e3)
-    assert all(k is None or k >= 2 for k in by_class)
-    st = RmfSampler(77, "steinhaus")
-    by_class_c = partial_sum_by_class(st, table_1e3)
-    assert sum(by_class_c.values()) == pytest.approx(partial_sum(st, table_1e3))
+def test_partial_sum_by_class_partitions(table_1e3):
+    # one group per largest-prime class, the unit class included
+    u, cls = np.unique(table_1e3.largest, return_inverse=True)
+    labels = sparse.csc_array((np.ones(len(cls)), (np.arange(len(cls)), cls)))
+    for model in ("rademacher", "steinhaus"):
+        by_class = trial_sums(table_1e3, [77], model, labels)[0]
+        whole = trial_sums(table_1e3, [77], model)[0, 0]
+        f = [f_value(77, rec, model) for rec in table_1e3]
+        want = [sum(v for v, c in zip(f, cls) if c == j) for j in range(len(u))]
+        if model == "rademacher":
+            assert by_class.tolist() == want
+            assert by_class.sum() == whole == sum(f)
+        else:
+            assert np.allclose(by_class, want, atol=1e-9)
+            assert by_class.sum() == pytest.approx(whole)
 
 
 def test_derived_streams_differ(table_1e3):
-    base = RmfSampler(4)
-    sums = {partial_sum(base.derive(i), table_1e3) for i in range(8)}
-    assert len(sums) > 1
+    sums = trial_sums(table_1e3, derive_seeds(4, 8), "rademacher")[:, 0]
+    assert len(set(sums.tolist())) > 1
 
 
 def test_monte_carlo_mean_is_centered(x2p1):
@@ -252,6 +242,9 @@ def test_monte_carlo_flags_unproven_classes():
     assert rep2.outside_proven_class
     rep3 = monte_carlo_clt(IntPolynomial((1, 0, 1)), 100, 5, seed=0)
     assert not rep3.outside_proven_class
+    linear = IntPolynomial((1, 1))  # x + 1: one linear factor is not enough
+    rep4 = monte_carlo_clt(linear, 100, 10, seed=0)
+    assert rep4.outside_proven_class
 
 
 def test_monte_carlo_zero_norm_raises():

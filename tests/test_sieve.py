@@ -6,18 +6,19 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from polyrmf.errors import DomainError
-from polyrmf.poly import IntPolynomial, count_roots_mod_prime_square
+from polyrmf.poly import IntPolynomial
 from polyrmf.sieve import (
     _MAX_SIEVE_BOUND,
     LargestPrimeStats,
     ValueRecord,
-    ValueTable,
     kappa_euler,
     largest_prime_stats,
     sieve_values,
     smooth_count,
     squarefree_count,
 )
+
+from oracles import roots_mod_scan, table_from_records
 
 
 def test_small_table_exact(x2p1):
@@ -94,7 +95,7 @@ def test_negative_values_raise_domain_error():
 
 def test_from_records_roundtrip(x2p1):
     t = sieve_values(x2p1, 30)
-    rebuilt = ValueTable.from_records(x2p1, list(t))
+    rebuilt = table_from_records(x2p1, list(t))
     assert rebuilt.n_max == 30
     for n in range(1, 31):
         assert rebuilt.record(n) == t.record(n)
@@ -104,16 +105,16 @@ def test_from_records_validates_coverage(x2p1):
     t = sieve_values(x2p1, 5)
     recs = [r for r in t if r.n != 3]
     with pytest.raises(ValueError):
-        ValueTable.from_records(x2p1, recs)
+        table_from_records(x2p1, recs)
 
 
 def test_from_records_rejects_values_past_int64_range():
     p = IntPolynomial((0, 1))
     ok = ValueRecord(1, 2**62 - 1, ((3, 1), (715827883, 1), (2147483647, 1)), True, 2147483647)
-    assert ValueTable.from_records(p, [ok]).values.tolist() == [2**62 - 1]
+    assert table_from_records(p, [ok]).values.tolist() == [2**62 - 1]
     big = ValueRecord(1, 2**62, ((2, 62),), False, 2)
     with pytest.raises(ValueError, match="2\\*\\*62"):
-        ValueTable.from_records(p, [big])
+        table_from_records(p, [big])
 
 
 def test_kappa_euler_quadratic_oracle(x2p1):
@@ -152,7 +153,10 @@ def test_kappa_euler_singular_and_content_primes(coeffs):
     bound = 2000
     prod = 1.0
     for p in sympy.primerange(2, bound + 1):
-        prod *= 1.0 - count_roots_mod_prime_square(P, int(p)) / (p * p)
+        p = int(p)
+        # every root mod p**2 lifts a root mod p
+        lifts = [r + t * p for r in roots_mod_scan(coeffs, p) for t in range(p)]
+        prod *= 1.0 - len(roots_mod_scan(coeffs, p * p, lifts)) / (p * p)
     assert kappa_euler(P, bound) == prod
 
 
@@ -223,8 +227,8 @@ def test_prime_index_consistency(x2p1):
     assert np.array_equal(primes, np.unique(t.flat_primes))
 
 
-# named shapes the random draw rarely hits: a content prime (roots_mod_prime
-# returns range(p) for p = 2), a repeated factor, a monomial power (high
+# named shapes the random draw rarely hits: a content prime (roots_mod_primes
+# returns every residue mod 2), a repeated factor, a monomial power (high
 # powers of 2) and an irreducible cubic
 _SIEVE_SHAPES = (
     (2, 2, 2),  # 2x^2 + 2x + 2
