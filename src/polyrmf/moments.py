@@ -29,8 +29,7 @@ def _multiplicity_sums(table: ValueTable) -> tuple[int, int, int]:
     the squarefree value multiplicities, 3*Q**2 - 2*F counts the value-level
     diagonal quadruples, and units is the multiplicity of value 1."""
     u, m = np.unique(table.values[table.is_squarefree], return_counts=True)
-    q = _sum_squares(m)
-    f = sum(c**4 for c in m.tolist())
+    q, f = _sum_squares(m), _sum_squares(m, power=4)
     return q, 3 * q * q - 2 * f, int(m[0]) if len(u) and u[0] == 1 else 0
 
 
@@ -101,10 +100,11 @@ def _scan_tally(x, y, starts, lengths, key, diagonal=None):
     return _tally(keys, counts)
 
 
-def _sum_squares(counts: np.ndarray) -> int:
-    """Exact sum of squared counts, in Python ints."""
+def _sum_squares(counts: np.ndarray, power: int = 2) -> int:
+    """Exact sum of counts**power (squares by default), in Python ints, one
+    term per distinct count."""
     u, m = np.unique(counts, return_counts=True)
-    return sum(c * c * k for c, k in zip(u.tolist(), m.tolist()))
+    return sum(c**power * k for c, k in zip(u.tolist(), m.tolist()))
 
 
 def fourth_moment_exact(table: ValueTable) -> int:

@@ -212,10 +212,16 @@ def _eval_mod(coeffs, x: int, m: int) -> int:
     return acc
 
 
-def _newton_step(P: IntPolynomial, r: int, m: int) -> int:
-    """The root r - P(r)/P'(r) mod m**2 above a root r of P mod m with P'(r) a unit."""
-    slope = _eval_mod(P.derivative_coeffs(), r, m)
-    return (r - _eval_mod(P.coeffs, r, m * m) * pow(slope, -1, m)) % (m * m)
+def _newton_step(P: IntPolynomial, r: int, inv: int, m: int) -> tuple[int, int]:
+    """The root mod m**2 above a root r of P mod m, and P' of it inverted mod m**2.
+
+    inv is P'(r)**-1 mod m. The root is r - P(r) * inv; as it is r mod m, inv
+    inverts P' at it mod m too, and one Newton step for the inverse,
+    inv * (2 - P' * inv), lifts that to mod m**2 without a modular inversion.
+    """
+    mm = m * m
+    r = (r - _eval_mod(P.coeffs, r, mm) * inv) % mm
+    return r, inv * (2 - _eval_mod(P.derivative_coeffs(), r, mm) * inv) % mm
 
 
 # Roots modulo many primes at once. Every array below holds one row per prime
@@ -472,13 +478,14 @@ def _rational_roots(P: IntPolynomial) -> list[tuple[int, int]] | None:
     else:
         return None
     p = int(split[0])
-    lifted = rs[ps == p].tolist()
+    dP = P.derivative_coeffs()
+    lifted = [(r, pow(_eval_mod(dP, r, p), -1, p)) for r in rs[ps == p].tolist()]
     m = p
     while m <= 2 * h * h:
-        lifted = [_newton_step(P, r, m) for r in lifted]
+        lifted = [_newton_step(P, r, inv, m) for r, inv in lifted]
         m *= m
     roots = []
-    for r in lifted:
+    for r, _ in lifted:
         # rational reconstruction: Euclid's algorithm on (m, r), stopped at
         # the first remainder num <= h, gives num = den * r mod m with den its
         # cofactor; as m > 2h**2, no other fraction with |num|, den <= h does

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 
+import mpmath
 import numpy as np
 
 from polyrmf.sieve import ValueRecord, ValueTable
@@ -68,6 +69,18 @@ def f_value(seed: int, record: ValueRecord, model: str = RADEMACHER):
     for p, e in record.factors:
         frac += e * _angle_fraction(prime_hash(seed, p))
     return cmath.exp(2j * cmath.pi * (frac % 1.0))
+
+
+def f_value_exact_phase(seed: int, record: ValueRecord) -> complex:
+    """Steinhaus f at one table record from its exact phase.
+
+    The phase sum of e * theta_p mod 1, theta_p = (hash >> 11) / 2**53, is
+    summed times 2**64 in Python ints, and exp(2 pi i phase) is evaluated
+    with mpmath at 30 digits, so the result is the correctly rounded value.
+    """
+    phase = sum(e * ((prime_hash(seed, p) >> 11) << 11) for p, e in record.factors) & _MASK
+    with mpmath.workdps(30):
+        return complex(mpmath.expjpi(mpmath.mpf(phase) / 2**63))
 
 
 def table_from_records(poly, records) -> ValueTable:

@@ -56,6 +56,20 @@ def test_second_moment_counts_equal_value_pairs():
     assert second_moment_exact(inj) == 9  # 9 squarefree rows, injective
 
 
+def test_diagonal_term_counts_equal_value_pairings():
+    # (x-6)^2+1 at N=11 takes values 26,17,10,5,2,1,2,5,10,17,26: multiplicity 2
+    # separates the fourth powers in 3*Q**2 - 2*F from lower powers
+    t = sieve_values(IntPolynomial((37, -12, 1)), 11)
+    v = [r.value for r in t if r.is_squarefree]
+    count = sum(
+        (v[a] == v[b] and v[c] == v[d]) or (v[a] == v[c] and v[b] == v[d])
+        or (v[a] == v[d] and v[b] == v[c])
+        for a, b, c, d in product(range(len(v)), repeat=4)
+    )
+    assert moment_report(t).diagonal_term == count == 3 * 21**2 - 2 * 81
+    assert off_diagonal_count(t) == fourth_moment_exact(t) - count
+
+
 def test_fourth_moment_small_example(x2p1):
     t = sieve_values(x2p1, 3)  # values 2, 5, 10: 2*5=10 gives extra squares
     assert fourth_moment_exact(t) == 21

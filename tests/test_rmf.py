@@ -13,7 +13,7 @@ from polyrmf.poly import IntPolynomial
 from polyrmf.rmf import CltReport, derive_seeds, monte_carlo_clt, trial_sums
 from polyrmf.sieve import sieve_values
 
-from oracles import derive_seed, f_prime, f_value, mix64, prime_hash
+from oracles import derive_seed, f_prime, f_value, f_value_exact_phase, mix64, prime_hash
 
 
 def test_hash_pins():
@@ -142,6 +142,32 @@ def test_trial_sums_memory_stays_bounded(x2p1):
     finally:
         tracemalloc.stop()
     assert peak < 20 * 10**6
+
+
+def test_steinhaus_trial_sums_memory_stays_bounded(x2p1):
+    t = sieve_values(x2p1, 10**5)
+    seeds = derive_seeds(0, 130)
+    tracemalloc.start()
+    try:
+        trial_sums(t, seeds, "steinhaus")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 10**6
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 1), (0, 1, 1), (0, 0, 1), (2, 2, 2)])
+def test_steinhaus_rows_match_exact_phase(coeffs):
+    # x^2 holds a unit row and high prime powers; 2x^2+2x+2 has content 2
+    t = sieve_values(IntPolynomial(coeffs), 2000)
+    rows = sparse.identity(t.n_max, format="csc")
+    seeds = [0, 2024, (1 << 64) - 3]
+    units = np.asarray(t.values) == 1
+    for seed, got in zip(seeds, trial_sums(t, seeds, "steinhaus", rows)):
+        want = np.array([f_value_exact_phase(seed, rec) for rec in t])
+        assert np.abs(got - want).max() <= 2e-15
+        assert np.all(got[units].real == 1.0) and np.all(got[units].imag == 0.0)
+    assert units.any() == (coeffs == (0, 0, 1))
 
 
 def test_trial_sums_do_not_depend_on_trial_order(table_1e3):
