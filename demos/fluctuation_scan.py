@@ -23,7 +23,7 @@ def main() -> None:
     print()
     print("set invariants:", "all hold" if all(checks.values()) else checks)
 
-    rep = lil_scan(scales, trials=400, seed=0, sets=sets)
+    rep = lil_scan(sets, trials=400, seed=0)
     u, frac = rep.threshold_fractions[0]
     print(f"decomposition exact on every trial: {rep.partition_exact}")
     print(f"fraction of trials with studentized max > {u:.3f}: {frac:.3f}")

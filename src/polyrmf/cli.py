@@ -336,7 +336,7 @@ def _run_curves(cfg: dict):
 def _run_fluctuations(cfg: dict):
     scales = scale_set(cfg["base"], cfg["scales"], mode=cfg["mode"], cap=cfg["cap"])
     sets = build_prime_class_sets(scales, c=cfg["c"])
-    report = lil_scan(scales, trials=cfg["trials"], seed=cfg["seed"], sets=sets)
+    report = lil_scan(sets, trials=cfg["trials"], seed=cfg["seed"])
     data = _plain(report)
     if cfg["verify"]:
         data["invariants"] = sets.verify_invariants()

@@ -26,7 +26,7 @@ from scipy import sparse
 from .errors import InfeasibleScaleError
 from .poly import IntPolynomial
 from .rmf import RADEMACHER, derive_seeds, trial_sums
-from .sieve import ValueTable, multi_slice, sieve_values
+from .sieve import ValueTable, sieve_values
 
 THEORETICAL = "theoretical"
 GEOMETRIC = "geometric"
@@ -101,35 +101,6 @@ def scale_set(base: int, k: int, mode: str = GEOMETRIC, cap: int = 10**6) -> Sca
     return ScaleSet(base=base, k=k, mode=mode, cap=cap, xs=tuple(xs))
 
 
-def _occurrence_groups(table: ValueTable, theta_min: float):
-    """Per-prime occurrence data over all rows, primes above theta_min.
-
-    Returns (uprimes, starts, counts, first_n, second_n, n_sorted) where
-    n_sorted holds the occurrence positions grouped by prime, ascending
-    within each group.
-    """
-    lengths = np.diff(table.row_ptr)
-    rows = np.repeat(np.arange(table.n_max, dtype=np.int64), lengths)
-    fp = table.flat_primes
-    m = fp > theta_min
-    p_of = fp[m]
-    n_of = rows[m] + 1
-    order = np.argsort(p_of, kind="stable")
-    p_s = p_of[order]
-    n_s = n_of[order]
-    if len(p_s) == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z, z, z, z, z
-    starts = np.concatenate(([0], np.nonzero(p_s[1:] != p_s[:-1])[0] + 1)).astype(np.int64)
-    counts = np.diff(np.concatenate((starts, [len(p_s)]))).astype(np.int64)
-    uprimes = p_s[starts]
-    first_n = n_s[starts]
-    second_n = np.full(len(starts), np.iinfo(np.int64).max, dtype=np.int64)
-    has2 = counts >= 2
-    second_n[has2] = n_s[starts[has2] + 1]
-    return uprimes, starts, counts, first_n, second_n, n_s
-
-
 @dataclass
 class PrimeClassSets:
     """Disjoint per-scale prime sets and the induced row partition.
@@ -184,16 +155,17 @@ class PrimeClassSets:
         }
 
 
-def _group_columns(bitmask: np.ndarray, acount: np.ndarray, xs: tuple[int, ...]):
+def _group_columns(bitmask: np.ndarray, xs: tuple[int, ...]):
     """Row indices of each groups column, in the order of the module docstring.
 
-    bitmask[n-1] has bit i set when some A_{i+1} prime divides n^2 + 1, and
-    acount[n-1] counts the distinct scale primes dividing it.
+    bitmask[n-1] has bit i set when some A_{i+1} prime divides n^2 + 1. A row
+    whose only bit is i holds exactly one A_{i+1} prime: each such prime
+    occurs once below x_{i+1}, at a witness no other kept prime shares.
     """
     for idx, x in enumerate(xs):
         bit = np.uint64(1 << idx)
         b = bitmask[:x]
-        yield np.nonzero((b == bit) & (acount[:x] == 1))[0]
+        yield np.nonzero(b == bit)[0]
         yield np.nonzero((b & ~bit) != 0)[0]
         yield np.nonzero(b == 0)[0]
     for lo, x in zip((0,) + xs[:-1], xs):
@@ -203,9 +175,14 @@ def _group_columns(bitmask: np.ndarray, acount: np.ndarray, xs: tuple[int, ...])
 def build_prime_class_sets(
     scales: ScaleSet, c: float = 0.01, table: ValueTable | None = None
 ) -> PrimeClassSets:
-    """Extract the per-scale prime sets for x^2 + 1 and classify every row."""
-    if c <= 0:
-        raise ValueError("threshold constant c must be positive")
+    """Extract the per-scale prime sets for x^2 + 1 and classify every row.
+
+    c must be finite and positive. The table, sieved to x_k when not given,
+    may run past x_k: later rows only rule out primes with a second witness
+    there, which cannot matter below x_k, and they join no column.
+    """
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"threshold constant c must be finite and positive, got {c}")
     if scales.k > _MAX_SCALES:
         raise ValueError(f"at most {_MAX_SCALES} scales are supported")
     xs = scales.xs
@@ -217,35 +194,44 @@ def build_prime_class_sets(
             raise ValueError("fluctuation sets are defined for x^2 + 1 only")
         if table.n_max < xk:
             raise ValueError("table does not cover the largest scale")
-    theta_min = c * xs[0] * math.log(xs[0])
-    uprimes, starts, counts, first_n, second_n, n_s = _occurrence_groups(table, theta_min)
-    bitmask = np.zeros(xk, dtype=np.uint64)
-    acount = np.zeros(xk, dtype=np.int64)
+    primes, inverse = table.prime_index()
+    n_of = np.repeat(np.arange(1, table.n_max + 1), np.diff(table.row_ptr))
+    # factor entries are stored in row order, so a stable sort by prime
+    # lists each prime's entries by ascending n
+    order = np.argsort(inverse, kind="stable")
+    counts = np.bincount(inverse, minlength=len(primes))
+    starts = np.cumsum(counts) - counts
+    first_n = n_of[order[starts]]
+    second_n = np.full(len(primes), np.iinfo(np.int64).max, dtype=np.int64)
+    two = counts > 1
+    second_n[two] = n_of[order[starts[two] + 1]]
+    bit_of = np.zeros(len(primes), dtype=np.uint64)
     prime_sets = []
     first_occ = []
     cand_sizes = []
     for idx, x in enumerate(xs):
         prev = xs[idx - 1] if idx else 0
         theta = c * x * math.log(x)
-        cand = (uprimes > theta) & (first_n > prev) & (first_n <= x) & (second_n > x)
+        cand = (primes > theta) & (first_n > prev) & (first_n <= x) & (second_n > x)
         cidx = np.nonzero(cand)[0]
         cand_sizes.append(len(cidx))
         fn = first_n[cidx]
         u, cnt = np.unique(fn, return_counts=True)
         shared = u[cnt > 1]
         keep = cidx[~np.isin(fn, shared)]
-        prime_sets.append(uprimes[keep].copy())
-        first_occ.append(first_n[keep].copy())
-        pos = multi_slice(starts[keep], counts[keep])
-        occ_n = n_s[pos]
-        occ_rows = occ_n[occ_n <= xk] - 1
-        np.bitwise_or.at(bitmask, occ_rows, np.uint64(1 << idx))
-        np.add.at(acount, occ_rows, 1)
+        prime_sets.append(primes[keep])
+        first_occ.append(first_n[keep])
+        bit_of[keep] = np.uint64(1 << idx)
+    # the entries of rows below x_k are the first row_ptr[x_k] ones
+    bits = bit_of[inverse[:table.row_ptr[xk]]]
+    hit = np.nonzero(bits)[0]
+    bitmask = np.zeros(xk, dtype=np.uint64)
+    np.bitwise_or.at(bitmask, n_of[hit] - 1, bits[hit])
     # the three classes of a scale are disjoint, so sum(xs) + xk bounds the
     # entries; csc_matrix keeps the int32 indices unless indptr outgrows them
     indices = np.empty(sum(xs) + xk, dtype=np.int32)
     indptr = np.zeros(4 * len(xs) + 1, dtype=np.int64)
-    for j, rows in enumerate(_group_columns(bitmask, acount, xs)):
+    for j, rows in enumerate(_group_columns(bitmask, xs)):
         indptr[j + 1] = indptr[j] + len(rows)
         indices[indptr[j]:indptr[j + 1]] = rows
     groups = sparse.csc_matrix(
@@ -309,30 +295,20 @@ class FluctuationReport:
     degenerate_scales: tuple[int, ...]
 
 
-def lil_scan(
-    scales: ScaleSet,
-    trials: int = 500,
-    seed: int = 0,
-    c: float = 0.01,
-    sets: PrimeClassSets | None = None,
-) -> FluctuationReport:
+def lil_scan(sets: PrimeClassSets, trials: int = 500, seed: int = 0) -> FluctuationReport:
     """Monte Carlo scan of the scale decomposition under Rademacher f.
 
-    Every trial checks the exact three-way partition of each scale's partial
-    sum, then the per-scale single-prime sums are studentized by their
-    across-trial standard deviation and the maximum over scales is compared
-    against sqrt(log k). Scales whose single-prime sum never varies are
-    excluded from the maximum and reported.
+    The scales, the threshold constant and the row classes all come from
+    sets, as built by build_prime_class_sets. Every trial checks the exact
+    three-way partition of each scale's partial sum, then the per-scale
+    single-prime sums are studentized by their across-trial standard
+    deviation and the maximum over scales is compared against sqrt(log k).
+    Scales whose single-prime sum never varies are excluded from the maximum
+    and reported.
     """
     if trials < 2:
         raise ValueError("need at least two trials")
-    if sets is None:
-        sets = build_prime_class_sets(scales, c=c)
-    else:
-        if sets.scales != scales:
-            raise ValueError("sets were built for different scales")
-        c = sets.c
-    xs = scales.xs
+    xs = sets.scales.xs
     k = len(xs)
     xarr = np.array(xs, dtype=np.int64)
     sums = trial_sums(sets.table, derive_seeds(seed, trials), RADEMACHER, sets.groups)
@@ -357,8 +333,8 @@ def lil_scan(
     fractions = ((u, float((max_stud > u).mean())),)
     return FluctuationReport(
         xs=xs,
-        mode=scales.mode,
-        c=c,
+        mode=sets.scales.mode,
+        c=sets.c,
         trials=trials,
         seed=seed,
         sizes=sets.sizes,

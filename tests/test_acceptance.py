@@ -166,7 +166,7 @@ def test_criterion_9_fluctuation_machinery(table_1e4):
     scales = scale_set(1000, 64, cap=10**4)
     sets = build_prime_class_sets(scales, c=0.01, table=table_1e4)
     inv = sets.verify_invariants()
-    rep = lil_scan(scales, trials=500, seed=0, sets=sets)
+    rep = lil_scan(sets, trials=500, seed=0)
     u, frac = rep.threshold_fractions[0]
     ok = all(inv.values()) and rep.partition_exact and frac >= 0.9
     check(9, ok, f"invariants={'all ok' if all(inv.values()) else inv} "

@@ -362,6 +362,24 @@ def test_fluctuations_infeasible_schedule(capsys):
     assert json.loads(err)["error"]["type"] == "InfeasibleScaleError"
 
 
+@pytest.mark.parametrize("c_flag, c_json", [("nan", None), ("inf", None), (None, "NaN")])
+def test_fluctuations_non_finite_c_is_usage_error(capsys, tmp_path, c_flag, c_json):
+    # argparse takes "nan" and "inf" as floats, and json.load takes NaN
+    args = ["fluctuations", "--base", "16", "--scales", "4", "--cap", "600", "--trials", "20"]
+    if c_flag is not None:
+        args += ["--c", c_flag]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"c": %s}' % c_json)
+        args += ["--config", str(cfg)]
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError"
+    assert "finite and positive" in error["message"]
+
+
 def test_fluctuations_small_run(capsys, tmp_path):
     csv = tmp_path / "scales.csv"
     env = run_json(capsys, "fluctuations", "--base", "16", "--scales", "3",

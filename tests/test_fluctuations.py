@@ -101,10 +101,12 @@ def _column_rows(sets, j):
     return g.indices[g.indptr[j]:g.indptr[j + 1]].tolist()
 
 
-def test_class_sets_match_brute_force():
+@pytest.mark.parametrize("n_table", [600, 900])
+def test_class_sets_match_brute_force(x2p1, n_table):
+    # a table longer than the last scale must give the same sets and classes
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
-    sets = build_prime_class_sets(scales, c=0.05)
-    brute_sets, brute_cands, brute_classes = _brute_sets(scales.xs, 0.05, 600)
+    sets = build_prime_class_sets(scales, c=0.05, table=sieve_values(x2p1, n_table))
+    brute_sets, brute_cands, brute_classes = _brute_sets(scales.xs, 0.05, n_table)
     assert sets.candidate_sizes == tuple(brute_cands)
     for i in range(4):
         assert sets.prime_sets[i].tolist() == brute_sets[i]
@@ -117,7 +119,7 @@ def test_class_sets_match_brute_force():
         assert _column_rows(sets, 3 * i + 2) == c3
         lo = scales.xs[i - 1] if i else 0
         assert _column_rows(sets, 12 + i) == list(range(lo, scales.xs[i]))
-    assert sets.groups.shape == (600, 16)
+    assert sets.groups.shape == (n_table, 16)
 
 
 def test_invariants_hold_on_larger_ladder():
@@ -204,8 +206,9 @@ def test_invariants_catch_corruption(flag, corrupt):
 
 def test_build_validation(x2p1):
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
-    with pytest.raises(ValueError):
-        build_prime_class_sets(scales, c=0.0)
+    for c in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_prime_class_sets(scales, c=c)
     wrong = sieve_values(IntPolynomial((0, 1, 1)), 600)
     with pytest.raises(ValueError):
         build_prime_class_sets(scales, table=wrong)
@@ -239,7 +242,7 @@ def test_single_prime_sum_second_moment(x2p1):
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
     t = sieve_values(x2p1, 600)
     sets = build_prime_class_sets(scales, c=0.05, table=t)
-    rep = lil_scan(scales, trials=1500, seed=123, sets=sets)
+    rep = lil_scan(sets, trials=1500, seed=123)
     assert rep.partition_exact
     for i in range(4):
         assert rep.beta_exact[i] * scales.xs[i] == pytest.approx(rep.class1_sf[i])
@@ -263,7 +266,7 @@ def test_single_prime_sums_uncorrelated_across_scales(x2p1):
 
 def test_lil_scan_report_shape():
     scales = scale_set(16, 8, GEOMETRIC, cap=2000)
-    rep = lil_scan(scales, trials=200, seed=0, c=0.01)
+    rep = lil_scan(build_prime_class_sets(scales, c=0.01), trials=200, seed=0)
     k = 8
     assert rep.xs == scales.xs
     assert len(rep.sizes) == k
@@ -279,18 +282,14 @@ def test_lil_scan_report_shape():
     assert qs == sorted(qs)
 
 
-def test_lil_scan_validation(x2p1):
-    scales = scale_set(16, 4, GEOMETRIC, cap=600)
-    other = scale_set(16, 4, GEOMETRIC, cap=500)
-    sets = build_prime_class_sets(scales, c=0.05)
+def test_lil_scan_validation():
+    sets = build_prime_class_sets(scale_set(16, 4, GEOMETRIC, cap=600), c=0.05)
     with pytest.raises(ValueError):
-        lil_scan(scales, trials=1)
-    with pytest.raises(ValueError):
-        lil_scan(other, trials=10, sets=sets)
+        lil_scan(sets, trials=1)
 
 
 def test_lil_scan_deterministic():
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
-    a = lil_scan(scales, trials=50, seed=7, c=0.05)
-    b = lil_scan(scales, trials=50, seed=7, c=0.05)
+    a = lil_scan(build_prime_class_sets(scales, c=0.05), trials=50, seed=7)
+    b = lil_scan(build_prime_class_sets(scales, c=0.05), trials=50, seed=7)
     assert a == b
