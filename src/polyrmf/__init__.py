@@ -24,7 +24,6 @@ from .sieve import (
     largest_prime_stats,
     sieve_values,
     smooth_count,
-    squarefree_count,
 )
 from .moments import (
     GcdHistogram,
@@ -33,7 +32,6 @@ from .moments import (
     gcd_class_histogram,
     mcleish_condition_sums,
     moment_report,
-    off_diagonal_count,
     second_moment_exact,
 )
 from .curves import CurveScanReport, exponent_scan, integral_points
@@ -65,7 +63,6 @@ __all__ = [
     "ValueTable",
     "LargestPrimeStats",
     "sieve_values",
-    "squarefree_count",
     "kappa_euler",
     "largest_prime_stats",
     "smooth_count",
@@ -73,7 +70,6 @@ __all__ = [
     "GcdHistogram",
     "second_moment_exact",
     "fourth_moment_exact",
-    "off_diagonal_count",
     "mcleish_condition_sums",
     "moment_report",
     "gcd_class_histogram",

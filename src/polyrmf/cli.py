@@ -161,6 +161,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"missing required option {flag}")
         if opt.minimum is not None and v < opt.minimum:
             raise ValueError(f"{flag} must be >= {opt.minimum}, got {v}")
+        if opt.type is float and not math.isfinite(v):
+            raise ValueError(f"{flag} must be finite, got {v}")
         cfg[opt.name] = v
     if cfg.get("seed") is None:
         cfg["seed"] = int(os.environ.get("RCL_SEED", "0"))

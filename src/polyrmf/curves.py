@@ -89,18 +89,16 @@ def exponent_scan(
         b = int(rng.integers(1, ab_max + 1))
         if a != b:
             pairs.append((a, b))
-    counts_by_n = []
-    diag = []
-    for n in ns:
-        counts_by_n.append(tuple(len(integral_points(P, a, b, n)) for a, b in pairs))
-        diag.append(len(integral_points(P, 1, 1, n)))
+    # one solve per pair at the last cutoff; a point counts at cutoff n when
+    # max(x, y) <= n, so each count is one search in the sorted maxima
+    solved = [integral_points(P, a, b, ns[-1]) for a, b in pairs + [(1, 1)]]
+    *reach, diag_reach = [np.sort([max(pt) for pt in pts]) for pts in solved]
+    by_pair = [np.searchsorted(r, ns, side="right").tolist() for r in reach]
+    counts_by_n = [tuple(c) for c in zip(*by_pair)]
+    diag = np.searchsorted(diag_reach, ns, side="right").tolist()
     last = counts_by_n[-1]
     top_idx = sorted(range(len(pairs)), key=lambda i: -last[i])[:5]
-    examples = []
-    for i in top_idx:
-        a, b = pairs[i]
-        pts = integral_points(P, a, b, ns[-1])[:20]
-        examples.append((a, b, last[i], tuple(pts)))
+    examples = [(*pairs[i], last[i], tuple(solved[i][:20])) for i in top_idx]
     return CurveScanReport(
         poly=str(P),
         n_values=ns,

@@ -1,9 +1,15 @@
-"""Small exact integer helpers: primes, factorization and squarefreeness."""
+"""Small exact integer helpers: primes and squarefreeness."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from .errors import DomainError
+
+# trial primes stop here, so squarefreeness is decided for every cofactor
+# below _TRIAL_BOUND**3 = 2**63, and in particular for every n below 2**63
+_TRIAL_BOUND = 1 << 21
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -18,39 +24,34 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
-def trial_factorize(n: int) -> list[tuple[int, int]]:
-    """Factor n >= 1 by trial division; returns (prime, exponent) pairs ascending."""
-    if n < 1:
-        raise ValueError("trial_factorize expects n >= 1")
-    out: list[tuple[int, int]] = []
-    for p in (2, 3):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    # remaining factors are 6k +/- 1
-    p = 5
-    while p * p <= n:
-        for q in (p, p + 2):
-            if n % q == 0:
-                e = 0
-                while n % q == 0:
-                    n //= q
-                    e += 1
-                out.append((q, e))
-        p += 6
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def is_squarefree_int(n: int) -> bool:
-    """True when no prime square divides n (n >= 1)."""
+    """True when no prime square divides n (n >= 1), decided without factoring.
+
+    Divides n by the primes p <= b, where b is the least integer with
+    b**3 > n, capped at 2**21. The cofactor m has no prime factor <= b, so
+    when m < b**3 it is 1, a prime, a product of two distinct primes or a
+    prime square, and only the last is not squarefree. Raises DomainError
+    when m >= b**3, which needs n >= 2**63: the answer would then need a
+    factorization past the trial bound.
+    """
     if n < 1:
         raise ValueError("is_squarefree_int expects n >= 1")
-    if n % 4 == 0 or n % 9 == 0 or n % 25 == 0:
-        return False
-    return all(e == 1 for _, e in trial_factorize(n))
-
+    b = _TRIAL_BOUND
+    if n < b**3:
+        b = int(n ** (1 / 3))
+        while b**3 <= n:
+            b += 1
+    ps = primes_up_to(b)
+    rem = n % (ps.astype(object) if n >= 1 << 63 else ps)
+    m = n
+    for p in ps[rem == 0].tolist():
+        m //= p
+        if m % p == 0:
+            return False
+    if m >= b**3:
+        raise DomainError(
+            f"cannot decide whether a {n.bit_length()}-bit integer is squarefree: its "
+            f"{m.bit_length()}-bit cofactor has no prime factor up to {b} and is at "
+            f"least {b}**3"
+        )
+    return m == 1 or math.isqrt(m) ** 2 != m

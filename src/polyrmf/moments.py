@@ -119,15 +119,6 @@ def fourth_moment_exact(table: ValueTable) -> int:
     return _sum_squares(counts)
 
 
-def off_diagonal_count(table: ValueTable) -> int:
-    """Square quadruples not equal in pairs under any of the three pairings.
-
-    Subtracts the value-level diagonal quadruples, 3*Q**2 - 2*F by
-    inclusion-exclusion (_multiplicity_sums), or 3*S**2 - 2*S for injective P.
-    """
-    return fourth_moment_exact(table) - _multiplicity_sums(table)[1]
-
-
 def mcleish_condition_sums(table: ValueTable) -> tuple[float, float, float]:
     """(s2, s4, cross): the three martingale-CLT condition sums, exactly.
 

@@ -130,7 +130,10 @@ def is_admissible(P: IntPolynomial) -> bool:
     """True when no prime p has p**2 dividing every value P(n).
 
     Equivalent to the fixed divisor being squarefree, since p**2 | P(n) for
-    all n exactly when p**2 divides gcd of all values.
+    all n exactly when p**2 divides gcd of all values. Raises DomainError
+    when is_squarefree_int cannot decide that, which needs a fixed divisor
+    of at least 2**63; it divides every value, so this never happens for a
+    polynomial whose values sieve_values accepts.
     """
     return is_squarefree_int(fixed_divisor(P))
 

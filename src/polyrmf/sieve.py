@@ -175,11 +175,6 @@ def sieve_values(P: IntPolynomial, N: int) -> ValueTable:
     return _sieve(P, N, vals, *roots_mod_primes(P, primes_up_to(math.isqrt(maxv))))
 
 
-def squarefree_count(table: ValueTable) -> int:
-    """Number of n in the table with P(n) squarefree."""
-    return int(np.asarray(table.is_squarefree).sum())
-
-
 def kappa_euler(P: IntPolynomial, prime_bound: int = 100_000) -> float:
     """Truncated Euler product for the squarefree density of P's values.
 
@@ -189,7 +184,9 @@ def kappa_euler(P: IntPolynomial, prime_bound: int = 100_000) -> float:
     move it far, e.g. for x^2 + M^2 with M the product of the primes in
     (10**5, 1.03 * 10**5) the value at prime_bound = 10**5 is 0.26% off.
     Requires an admissible polynomial; otherwise some factor vanishes and
-    the product is meaningless.
+    the product is meaningless. Raises DomainError for an inadmissible
+    polynomial, and when is_admissible cannot decide (a fixed divisor of at
+    least 2**63 whose part free of primes up to 2**21 is at least 2**63).
     """
     if not is_admissible(P):
         raise DomainError("polynomial is inadmissible: some p^2 divides every value")

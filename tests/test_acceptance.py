@@ -15,7 +15,7 @@ from polyrmf.fluctuations import build_prime_class_sets, lil_scan, scale_set
 from polyrmf.moments import (
     fourth_moment_exact,
     mcleish_condition_sums,
-    off_diagonal_count,
+    moment_report,
     second_moment_exact,
 )
 from polyrmf.poly import IntPolynomial
@@ -102,7 +102,7 @@ def test_criterion_2_quadruple_counts():
 
 
 def test_criterion_3_off_diagonal_decay(grid_tables):
-    ratios = [off_diagonal_count(grid_tables[n]) / n**2 for n in GRID]
+    ratios = [moment_report(grid_tables[n]).off_diagonal / n**2 for n in GRID]
     slope = np.polyfit(np.log(GRID), np.log(ratios), 1)[0]
     ok = all(b <= a for a, b in zip(ratios, ratios[1:]))
     check(3, ok, "ratios=" + "/".join(f"{r:.4f}" for r in ratios)

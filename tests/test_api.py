@@ -41,12 +41,10 @@ PUBLIC = [
     "mcleish_condition_sums",
     "moment_report",
     "monte_carlo_clt",
-    "off_diagonal_count",
     "scale_set",
     "second_moment_exact",
     "sieve_values",
     "smooth_count",
-    "squarefree_count",
     "three_sum_decomposition",
 ]
 

@@ -99,6 +99,32 @@ def test_kappa_classifies_huge_cubics_in_time(poly, kind, src_env):
     assert json.loads(proc.stdout)["data"]["kind"] == kind
 
 
+def _kappa_subprocess(poly, src_env):
+    # with a timeout, so that a hang fails instead of stalling the suite
+    return subprocess.run(
+        [sys.executable, "-m", "polyrmf.cli", "kappa", "--poly", poly, "--prime-bound", "1000"],
+        env=src_env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_kappa_of_a_large_prime_content(src_env):
+    # the content 10^16 + 61 is prime: admissible, decided without factoring
+    proc = _kappa_subprocess("10000000000000061,0,10000000000000061", src_env)
+    assert proc.returncode == 0, proc.stderr
+    d = json.loads(proc.stdout)["data"]
+    assert d["admissible"] is True
+    assert d["fixed_divisor"] == 10000000000000061
+    assert d["kappa"] == 0.8949554710426807
+
+
+def test_kappa_of_an_undecidable_content_is_domain_error(src_env):
+    # the content 10^20 + 39 is a 67-bit prime, past what the bounded test decides
+    proc = _kappa_subprocess("100000000000000000039,0,100000000000000000039", src_env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["type"] == "DomainError"
+
+
 def test_kappa_data_is_rerun_stable(capsys):
     a = run_json(capsys, "kappa", "--poly", "1,0,1", "--prime-bound", "500")
     b = run_json(capsys, "kappa", "--poly", "1,0,1", "--prime-bound", "500")
@@ -364,7 +390,8 @@ def test_fluctuations_infeasible_schedule(capsys):
 
 @pytest.mark.parametrize("c_flag, c_json", [("nan", None), ("inf", None), (None, "NaN")])
 def test_fluctuations_non_finite_c_is_usage_error(capsys, tmp_path, c_flag, c_json):
-    # argparse takes "nan" and "inf" as floats, and json.load takes NaN
+    # argparse takes "nan" and "inf" as floats, and json.load takes NaN; the
+    # refusal comes before a dry run prints the config
     args = ["fluctuations", "--base", "16", "--scales", "4", "--cap", "600", "--trials", "20"]
     if c_flag is not None:
         args += ["--c", c_flag]
@@ -372,12 +399,13 @@ def test_fluctuations_non_finite_c_is_usage_error(capsys, tmp_path, c_flag, c_js
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"c": %s}' % c_json)
         args += ["--config", str(cfg)]
-    code, out, err = run(capsys, *args)
-    assert code == 2
-    assert out == ""
-    error = json.loads(err)["error"]
-    assert error["type"] == "UsageError"
-    assert "finite and positive" in error["message"]
+    for extra in ([], ["--dry-run"]):
+        code, out, err = run(capsys, *args, *extra)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "UsageError"
+        assert "--c must be finite" in error["message"]
 
 
 def test_fluctuations_small_run(capsys, tmp_path):

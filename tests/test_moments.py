@@ -13,7 +13,6 @@ from polyrmf.moments import (
     gcd_class_histogram,
     mcleish_condition_sums,
     moment_report,
-    off_diagonal_count,
     second_moment_exact,
 )
 from polyrmf.poly import IntPolynomial
@@ -67,13 +66,13 @@ def test_diagonal_term_counts_equal_value_pairings():
         for a, b, c, d in product(range(len(v)), repeat=4)
     )
     assert moment_report(t).diagonal_term == count == 3 * 21**2 - 2 * 81
-    assert off_diagonal_count(t) == fourth_moment_exact(t) - count
+    assert moment_report(t).off_diagonal == fourth_moment_exact(t) - count
 
 
 def test_fourth_moment_small_example(x2p1):
     t = sieve_values(x2p1, 3)  # values 2, 5, 10: 2*5=10 gives extra squares
     assert fourth_moment_exact(t) == 21
-    assert off_diagonal_count(t) == 0
+    assert moment_report(t).off_diagonal == 0
 
 
 def test_fourth_moment_brute_force():
@@ -191,13 +190,13 @@ def test_no_relation_table_hits_diagonal_floor():
     t = table_from_records(IntPolynomial((0, 1)), recs)
     s = len(primes)
     assert fourth_moment_exact(t) == 3 * s * s - 2 * s
-    assert off_diagonal_count(t) == 0
+    assert moment_report(t).off_diagonal == 0
 
 
 def test_off_diagonal_nonnegative_and_monotone_ratio(x2p1):
     offs = {}
     for n in (100, 200, 400):
-        offs[n] = off_diagonal_count(sieve_values(x2p1, n))
+        offs[n] = moment_report(sieve_values(x2p1, n)).off_diagonal
         assert offs[n] >= 0
     assert offs[100] / 100**2 >= offs[200] / 200**2 >= offs[400] / 400**2
 

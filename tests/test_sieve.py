@@ -15,7 +15,6 @@ from polyrmf.sieve import (
     largest_prime_stats,
     sieve_values,
     smooth_count,
-    squarefree_count,
 )
 
 from oracles import roots_mod_scan, table_from_records
@@ -27,7 +26,7 @@ def test_small_table_exact(x2p1):
     assert rows[1] == ValueRecord(1, 2, ((2, 1),), True, 2)
     assert rows[4].value == 17 and rows[4].largest_prime == 17
     assert rows[7] == ValueRecord(7, 50, ((2, 1), (5, 2)), False, 5)
-    assert squarefree_count(t) == 9
+    assert int(t.is_squarefree.sum()) == 9
 
 
 def test_factorizations_match_sympy(x2p1):
