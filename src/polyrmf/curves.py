@@ -30,7 +30,11 @@ def integral_points(
         raise ValueError("coefficients a and b must be positive integers")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    vals = values(P, 1, n_max + 1)
+    return _points(values(P, 1, n_max + 1), a, b)
+
+
+def _points(vals: np.ndarray, a: int, b: int) -> list[tuple[int, int]]:
+    """All (x, y) with a*vals[x-1] == b*vals[y-1], sorted, for exact values vals."""
     g = math.gcd(a, b)
     a1, b1 = a // g, b // g  # b1 | P(x), a1 | P(y) and P(x)/b1 == P(y)/a1
     if max(a1, b1) >= 1 << 63:  # divide in Python ints
@@ -44,7 +48,9 @@ def integral_points(
     left = np.searchsorted(y_keys, x_keys, side="left")
     counts = np.searchsorted(y_keys, x_keys, side="right") - left
     px, py = np.repeat(xs, counts), ys[multi_slice(left, counts)]
-    assert all(a * u == b * w for u, w in zip(vals[px].tolist(), vals[py].tolist()))
+    # a*u == b*w with coprime a1, b1: b1 | u, a1 | w and u/b1 == w/a1
+    u, w = vals[px], vals[py]
+    assert ((u % b1 == 0) & (w % a1 == 0) & (u // b1 == w // a1)).all()
     return list(zip((px + 1).tolist(), (py + 1).tolist()))
 
 
@@ -89,9 +95,11 @@ def exponent_scan(
         b = int(rng.integers(1, ab_max + 1))
         if a != b:
             pairs.append((a, b))
-    # one solve per pair at the last cutoff; a point counts at cutoff n when
-    # max(x, y) <= n, so each count is one search in the sorted maxima
-    solved = [integral_points(P, a, b, ns[-1]) for a, b in pairs + [(1, 1)]]
+    # one solve per pair at the last cutoff, all from one evaluation of P; a
+    # point counts at cutoff n when max(x, y) <= n, so each count is one
+    # search in the sorted maxima
+    vals = values(P, 1, ns[-1] + 1)
+    solved = [_points(vals, a, b) for a, b in pairs + [(1, 1)]]
     *reach, diag_reach = [np.sort([max(pt) for pt in pts]) for pts in solved]
     by_pair = [np.searchsorted(r, ns, side="right").tolist() for r in reach]
     counts_by_n = [tuple(c) for c in zip(*by_pair)]

@@ -10,10 +10,14 @@ piece behaves like an independent block across scales, which is what the
 studentized-maximum statistic exercises.
 
 Every sum of f over rows goes through rmf.trial_sums with the sparse
-row-to-group matrix PrimeClassSets.groups. For k scales it has 4k columns:
-columns 3i, 3i + 1 and 3i + 2 hold the rows of classes 1, 2 and 3 at scale
-i + 1, and column 3k + i holds the band of rows [x_i, x_{i+1}) (with
-x_0 = 0), whose cumulative sums are the partial sums at each scale.
+row-to-group matrix PrimeClassSets.groups, a partition of the rows below x_k
+into 3k columns, three per band of rows [x_{i-1}, x_i) (0-based rows,
+x_0 = 0). Column 3i - 3 holds class 1 of scale i: an A_i prime has its one
+witness below x_i inside band i. Column 3i - 2 holds the band's other rows
+that hold some scale's prime, and column 3i - 1 the band's untouched rows.
+The partial sum at scale i is then the cumulative sum of the band totals,
+class 3 the cumulative sum of the untouched columns and class 2 the partial
+sum less classes 1 and 3, all exact integers in float64 under Rademacher f.
 """
 from __future__ import annotations
 
@@ -105,8 +109,10 @@ def scale_set(base: int, k: int, mode: str = GEOMETRIC, cap: int = 10**6) -> Sca
 class PrimeClassSets:
     """Disjoint per-scale prime sets and the induced row partition.
 
-    groups is the 0/1 CSC matrix of 0-based table rows by the 4k class and
-    band columns laid out in the module docstring.
+    groups is the 0/1 CSC matrix of 0-based table rows by the 3k band
+    columns laid out in the module docstring: every row below x_k sits in
+    exactly one column, so groups.nnz == x_k. Classes 2 and 3 of a scale
+    are not columns; they are derived from the band sums.
     """
 
     scales: ScaleSet
@@ -123,30 +129,32 @@ class PrimeClassSets:
         """Recheck every set invariant directly against the table.
 
         A prime in two sets fails "disjoint" and is checked only in the first.
+        "partition" holds when every row below x_k, and no other row, sits in
+        exactly one groups column: the one of its own band that its
+        scale-prime hits name.
         """
-        t, xs, k = self.table, np.array(self.scales.xs), len(self.scales.xs)
-        theta = np.array([self.c * x * math.log(x) for x in self.scales.xs])
+        xs, k = self.scales.xs, len(self.scales.xs)
+        xk = xs[-1]
+        theta = np.array([self.c * x * math.log(x) for x in xs])
         allp = np.concatenate(self.prime_sets)
         scale_of = np.repeat(np.arange(k), [len(a) for a in self.prime_sets])
-        order = np.argsort(allp, kind="stable")
-        sorted_p = allp[order]
-        # label every factor entry of the table with the scale of its prime;
-        # the sentinel 0 past the end matches no prime
-        pos = np.searchsorted(sorted_p, t.flat_primes)
-        hit = np.nonzero(np.append(sorted_p, 0)[pos] == t.flat_primes)[0]
-        label = scale_of[order[pos[hit]]]
-        rows = np.searchsorted(t.row_ptr, hit, side="right") - 1
-        below = rows < xs[label]
-        _, per_prime = np.unique(t.flat_primes[hit[below]], return_counts=True)
+        hit, rows, label = _scale_hits(self)
+        below = rows < np.array(xs)[label]
+        _, per_prime = np.unique(self.table.flat_primes[hit[below]], return_counts=True)
         _, per_row = np.unique(rows[below] * k + label[below], return_counts=True)
+        bitmask = _row_bitmask(rows, label, xk)
+        band = np.searchsorted(xs, np.arange(xk), side="right")
+        own = bitmask == np.uint64(1) << band.astype(np.uint64)
+        expected = 3 * band + np.where(own, 0, np.where(bitmask != 0, 1, 2))
         g = self.groups
-        classes = [g.indices[g.indptr[3 * i]:g.indptr[3 * i + 3]] for i in range(k)]
-        partition = all(
-            len(r) == x and (np.bincount(r, minlength=x) == 1).all()
-            for r, x in zip(classes, self.scales.xs)
-        )
+        counts = np.bincount(g.indices, minlength=xk)
+        partition = len(counts) == xk and bool((counts == 1).all())
+        if partition:
+            placed = np.empty(xk, dtype=np.int64)
+            placed[g.indices] = np.repeat(np.arange(g.shape[1]), np.diff(g.indptr))
+            partition = np.array_equal(placed, expected)
         return {
-            "disjoint": not (sorted_p[1:] == sorted_p[:-1]).any(),
+            "disjoint": len(np.unique(allp)) == len(allp),
             "threshold": bool((allp > theta[scale_of]).all()),
             "single_witness": len(per_prime) == len(allp) and bool((per_prime == 1).all()),
             "fresh": bool((rows >= np.append(0, xs[:-1])[label]).all()),
@@ -155,21 +163,62 @@ class PrimeClassSets:
         }
 
 
+def _scale_hits(sets: PrimeClassSets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every factor entry of sets.table that holds a prime of some set.
+
+    Returns the entries' positions in flat_primes, their 0-based rows and the
+    0-based scale of their prime, recomputed from the prime sets alone; a
+    prime in two sets is labelled with the first.
+    """
+    t = sets.table
+    allp = np.concatenate(sets.prime_sets)
+    scale_of = np.repeat(np.arange(len(sets.prime_sets)), [len(a) for a in sets.prime_sets])
+    order = np.argsort(allp, kind="stable")
+    sorted_p = allp[order]
+    # the sentinel 0 past the end matches no prime
+    pos = np.searchsorted(sorted_p, t.flat_primes)
+    hit = np.flatnonzero(np.append(sorted_p, 0)[pos] == t.flat_primes)
+    rows = np.searchsorted(t.row_ptr, hit, side="right") - 1
+    return hit, rows, scale_of[order[pos[hit]]]
+
+
+def _row_bitmask(rows: np.ndarray, label: np.ndarray, n: int) -> np.ndarray:
+    """Bit i of entry r is set when row r < n holds a prime of scale i + 1."""
+    below = rows < n
+    bitmask = np.zeros(n, dtype=np.uint64)
+    np.bitwise_or.at(bitmask, rows[below], np.uint64(1) << label[below].astype(np.uint64))
+    return bitmask
+
+
+def _csc_columns(columns, n_rows: int, n_cols: int, bound: int) -> sparse.csc_matrix:
+    """0/1 CSC matrix whose column j holds the row indices of columns[j].
+
+    The int32 indices are filled in place; bound caps the total entries.
+    """
+    indices = np.empty(bound, dtype=np.int32)
+    indptr = np.zeros(n_cols + 1, dtype=np.int64)
+    for j, rows in enumerate(columns):
+        indptr[j + 1] = indptr[j] + len(rows)
+        indices[indptr[j]:indptr[j + 1]] = rows
+    nnz = indptr[-1]
+    # csc_matrix keeps the int32 indices unless indptr outgrows them
+    return sparse.csc_matrix((np.ones(nnz), indices[:nnz], indptr), shape=(n_rows, n_cols))
+
+
 def _group_columns(bitmask: np.ndarray, xs: tuple[int, ...]):
     """Row indices of each groups column, in the order of the module docstring.
 
     bitmask[n-1] has bit i set when some A_{i+1} prime divides n^2 + 1. A row
     whose only bit is i holds exactly one A_{i+1} prime: each such prime
-    occurs once below x_{i+1}, at a witness no other kept prime shares.
+    occurs once below x_{i+1}, at a witness no other kept prime shares, and
+    that witness lies in band i + 1.
     """
-    for idx, x in enumerate(xs):
+    for idx, (lo, x) in enumerate(zip((0,) + xs[:-1], xs)):
         bit = np.uint64(1 << idx)
-        b = bitmask[:x]
-        yield np.nonzero(b == bit)[0]
-        yield np.nonzero((b & ~bit) != 0)[0]
-        yield np.nonzero(b == 0)[0]
-    for lo, x in zip((0,) + xs[:-1], xs):
-        yield np.arange(lo, x)
+        b = bitmask[lo:x]
+        yield lo + np.flatnonzero(b == bit)
+        yield lo + np.flatnonzero((b != bit) & (b != 0))
+        yield lo + np.flatnonzero(b == 0)
 
 
 def build_prime_class_sets(
@@ -227,16 +276,7 @@ def build_prime_class_sets(
     hit = np.nonzero(bits)[0]
     bitmask = np.zeros(xk, dtype=np.uint64)
     np.bitwise_or.at(bitmask, n_of[hit] - 1, bits[hit])
-    # the three classes of a scale are disjoint, so sum(xs) + xk bounds the
-    # entries; csc_matrix keeps the int32 indices unless indptr outgrows them
-    indices = np.empty(sum(xs) + xk, dtype=np.int32)
-    indptr = np.zeros(4 * len(xs) + 1, dtype=np.int64)
-    for j, rows in enumerate(_group_columns(bitmask, xs)):
-        indptr[j + 1] = indptr[j] + len(rows)
-        indices[indptr[j]:indptr[j + 1]] = rows
-    groups = sparse.csc_matrix(
-        (np.ones(indptr[-1]), indices[:indptr[-1]], indptr), shape=(table.n_max, 4 * len(xs))
-    )
+    groups = _csc_columns(_group_columns(bitmask, xs), table.n_max, 3 * len(xs), xk)
     sf_counts = groups.T @ np.asarray(table.is_squarefree, dtype=np.float64)
     return PrimeClassSets(
         scales=scales,
@@ -251,6 +291,40 @@ def build_prime_class_sets(
     )
 
 
+def _class_sums(sums: np.ndarray):
+    """Classes 1, 2 and 3 and the partial sum at every scale, from band sums.
+
+    sums[:, 3i:3i + 3] are trial sums over the three columns of band i + 1.
+    Returns (s1, s2, s3, msum), each trials by scales.
+    """
+    bands = sums.reshape(len(sums), -1, 3)
+    msum = np.cumsum(bands.sum(axis=2), axis=1)
+    s1 = bands[:, :, 0]
+    s3 = np.cumsum(bands[:, :, 2], axis=1)
+    return s1, msum - s1 - s3, s3, msum
+
+
+def _direct_classes_2_3(sets: PrimeClassSets, seeds) -> np.ndarray:
+    """Trial sums of classes 2 and 3 of every scale, summed from their definitions.
+
+    Column 2i holds class 2 of scale i + 1 (rows below x_{i+1} holding another
+    scale's prime), column 2i + 1 its class 3 (untouched rows below x_{i+1}).
+    The rows come from the scale-prime hits that _scale_hits recomputes, not
+    from groups.
+    """
+    xs = sets.scales.xs
+    bitmask = _row_bitmask(*_scale_hits(sets)[1:], xs[-1])
+
+    def columns():
+        for idx, x in enumerate(xs):
+            b = bitmask[:x]
+            yield np.flatnonzero(b & ~np.uint64(1 << idx))
+            yield np.flatnonzero(b == 0)
+
+    cols = _csc_columns(columns(), sets.table.n_max, 2 * len(xs), sum(xs))
+    return trial_sums(sets.table, seeds, RADEMACHER, cols)
+
+
 def three_sum_decomposition(
     seed: int, sets: PrimeClassSets, scale_index: int
 ) -> tuple[int, int, int]:
@@ -262,14 +336,19 @@ def three_sum_decomposition(
     k = len(sets.scales.xs)
     if not 1 <= scale_index <= k:
         raise ValueError(f"scale_index must be in [1, {k}]")
-    cols = sets.groups[:, 3 * scale_index - 3:3 * scale_index]
-    parts = trial_sums(sets.table, [seed], RADEMACHER, cols)[0]
-    return tuple(int(round(float(p))) for p in parts)
+    sums = trial_sums(sets.table, [seed], RADEMACHER, sets.groups[:, :3 * scale_index])
+    return tuple(int(round(float(part[0, -1]))) for part in _class_sums(sums)[:3])
 
 
 @dataclass(frozen=True)
 class FluctuationReport:
-    """Across-trial statistics of the multi-scale decomposition."""
+    """Across-trial statistics of the multi-scale decomposition.
+
+    s2 and s3 are derived from the band sums (see the module docstring).
+    partition_exact is True when classes 2 and 3 of every scale, summed
+    directly from their definitions for the first min(trials, 64) trials,
+    equal the derived values.
+    """
 
     xs: tuple[int, ...]
     mode: str
@@ -299,10 +378,12 @@ def lil_scan(sets: PrimeClassSets, trials: int = 500, seed: int = 0) -> Fluctuat
     """Monte Carlo scan of the scale decomposition under Rademacher f.
 
     The scales, the threshold constant and the row classes all come from
-    sets, as built by build_prime_class_sets. Every trial checks the exact
-    three-way partition of each scale's partial sum, then the per-scale
-    single-prime sums are studentized by their across-trial standard
-    deviation and the maximum over scales is compared against sqrt(log k).
+    sets, as built by build_prime_class_sets. Each trial sums f over the
+    3k band columns once and derives the three classes and the partial sum
+    of every scale; the first word of trials rechecks classes 2 and 3
+    directly (partition_exact). The per-scale single-prime sums are then
+    studentized by their across-trial standard deviation and the maximum
+    over scales is compared against sqrt(log k).
     Scales whose single-prime sum never varies are excluded from the maximum
     and reported.
     """
@@ -311,10 +392,14 @@ def lil_scan(sets: PrimeClassSets, trials: int = 500, seed: int = 0) -> Fluctuat
     xs = sets.scales.xs
     k = len(xs)
     xarr = np.array(xs, dtype=np.int64)
-    sums = trial_sums(sets.table, derive_seeds(seed, trials), RADEMACHER, sets.groups)
-    s1, s2, s3 = (sums[:, j:3 * k:3] for j in range(3))
-    msum = np.cumsum(sums[:, 3 * k:], axis=1)
-    partition_exact = np.array_equal(s1 + s2 + s3, msum)
+    seeds = derive_seeds(seed, trials)
+    s1, s2, s3, msum = _class_sums(trial_sums(sets.table, seeds, RADEMACHER, sets.groups))
+    # one word of Rademacher trials is 64 seeds
+    direct = _direct_classes_2_3(sets, seeds[:64])
+    w = len(direct)
+    partition_exact = np.array_equal(direct[:, 0::2], s2[:w]) and np.array_equal(
+        direct[:, 1::2], s3[:w]
+    )
     lnln = np.log(np.log(xarr.astype(np.float64)))
     norm_stat = np.abs(msum) / np.sqrt(xarr * lnln)
     sigma = s1.std(axis=0, ddof=1)

@@ -104,6 +104,9 @@ def test_exponent_scan_report(x2p1):
     for c_small, c_big in zip(rep.counts_by_n[0], rep.counts_by_n[1]):
         assert c_big >= c_small
     assert rep.max_count[1] == max(rep.counts_by_n[1])
+    # the scan evaluates P once; each pair's count matches its own solve
+    for (a, b), count in zip(rep.pairs, rep.counts_by_n[1]):
+        assert count == len(integral_points(x2p1, a, b, 100))
     for a, b, count, pts in rep.top_examples:
         assert count == len(integral_points(x2p1, a, b, 100))
         assert len(pts) <= 20

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import sympy
 from scipy import sparse
 
+from polyrmf import fluctuations
 from polyrmf.errors import InfeasibleScaleError
 from polyrmf.fluctuations import (
     GEOMETRIC,
@@ -53,6 +55,7 @@ def test_scale_set_validation():
         scale_set(16, 4, GEOMETRIC, cap=19)  # no room above the base
 
 
+@functools.lru_cache(maxsize=None)
 def _brute_sets(xs, c, cap):
     """Reference construction from raw factorizations, no shared code."""
     occ = {}
@@ -114,12 +117,18 @@ def test_class_sets_match_brute_force(x2p1, n_table):
         for p, n in zip(sets.prime_sets[i], first):
             assert (n * n + 1) % p == 0
         c1, c2, c3 = brute_classes[i]
-        assert _column_rows(sets, 3 * i) == c1
-        assert _column_rows(sets, 3 * i + 1) == c2
-        assert _column_rows(sets, 3 * i + 2) == c3
         lo = scales.xs[i - 1] if i else 0
-        assert _column_rows(sets, 12 + i) == list(range(lo, scales.xs[i]))
-    assert sets.groups.shape == (n_table, 16)
+        # band i's three columns are the brute-force classes restricted to it
+        assert all(r >= lo for r in c1)
+        assert _column_rows(sets, 3 * i) == c1
+        assert _column_rows(sets, 3 * i + 1) == [r for r in c2 if r >= lo]
+        assert _column_rows(sets, 3 * i + 2) == [r for r in c3 if r >= lo]
+        # classes 2 and 3 of scale i, rebuilt from the band columns
+        touched = [3 * j + m for j in range(i) for m in (0, 1)] + [3 * i + 1]
+        assert sorted(r for j in touched for r in _column_rows(sets, j)) == c2
+        assert sorted(r for j in range(i + 1) for r in _column_rows(sets, 3 * j + 2)) == c3
+    assert sets.groups.shape == (n_table, 12)
+    assert sets.groups.nnz == scales.xs[-1]
 
 
 def test_invariants_hold_on_larger_ladder():
@@ -177,9 +186,17 @@ def _shared_value(sets):
 
 
 def _dropped_row(sets):
-    # row 0 leaves every class column of the first scale
+    # row 0 leaves every column of the first band
     g = sets.groups.toarray()
     g[0, :3] = 0
+    return dataclasses.replace(sets, groups=sparse.csc_matrix(g))
+
+
+def _misplaced_row(sets):
+    # an untouched row of the second band moves to its other-touched column
+    g = sets.groups.toarray()
+    r = np.flatnonzero(g[:, 5])[0]
+    g[r, 5], g[r, 4] = 0, 1
     return dataclasses.replace(sets, groups=sparse.csc_matrix(g))
 
 
@@ -192,6 +209,7 @@ def _dropped_row(sets):
         ("fresh", _stale_prime),
         ("no_shared_value", _shared_value),
         ("partition", _dropped_row),
+        ("partition", _misplaced_row),
     ],
 )
 def test_invariants_catch_corruption(flag, corrupt):
@@ -224,16 +242,58 @@ def test_three_sum_is_exact_partition(x2p1):
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
     t = sieve_values(x2p1, 600)
     sets = build_prime_class_sets(scales, c=0.05, table=t)
+    _, _, classes = _brute_sets(scales.xs, 0.05, 600)
     for seed in (0, 5, 11):
+        f = [f_value(seed, t.record(n)) for n in range(1, 601)]
         for i, x in enumerate(scales.xs, start=1):
             parts = three_sum_decomposition(seed, sets, i)
             assert all(type(part) is int for part in parts)
-            direct = sum(f_value(seed, t.record(n)) for n in range(1, x + 1))
-            assert sum(parts) == direct
+            assert parts == tuple(sum(f[r] for r in rows) for rows in classes[i - 1])
+            assert sum(parts) == sum(f[:x])
     with pytest.raises(ValueError):
         three_sum_decomposition(0, sets, 0)
     with pytest.raises(ValueError):
         three_sum_decomposition(0, sets, 5)
+
+
+@pytest.mark.parametrize("seed", [4, 19])
+def test_lil_scan_classes_match_class_columns(x2p1, seed):
+    # classes 2 and 3 summed over one column per class and scale, built
+    # from the brute-force classes, against the derived lil_scan sums
+    scales = scale_set(16, 4, GEOMETRIC, cap=600)
+    t = sieve_values(x2p1, 600)
+    sets = build_prime_class_sets(scales, c=0.05, table=t)
+    _, _, classes = _brute_sets(scales.xs, 0.05, 600)
+    member = np.zeros((600, 8))
+    for i, (_, c2, c3) in enumerate(classes):
+        member[c2, 2 * i] = 1
+        member[c3, 2 * i + 1] = 1
+    sums = trial_sums(t, derive_seeds(seed, 100), "rademacher", sparse.csc_matrix(member))
+    s2, s3 = sums[:, 0::2], sums[:, 1::2]
+    rep = lil_scan(sets, trials=100, seed=seed)
+    assert rep.partition_exact
+    assert rep.s2_mean == tuple(float(m) for m in s2.mean(axis=0))
+    assert rep.s3_mean == tuple(float(m) for m in s3.mean(axis=0))
+    assert rep.s2_sq_mean == tuple(float(m) for m in (s2**2).mean(axis=0))
+    assert rep.s3_sq_mean == tuple(float(m) for m in (s3**2).mean(axis=0))
+
+
+@pytest.mark.parametrize("column", [4, 11])
+def test_partition_exact_catches_a_wrong_band_sum(monkeypatch, column):
+    # column 4 is the second band's other-touched rows, 11 the last band's
+    # untouched rows: s2 and s3 are derived from them
+    sets = _small_sets()
+    real = fluctuations.trial_sums
+
+    def skewed(table, seeds, model, groups=None):
+        out = real(table, seeds, model, groups)
+        if groups is sets.groups:
+            out[:, column] += 2
+        return out
+
+    assert lil_scan(sets, trials=20, seed=1).partition_exact
+    monkeypatch.setattr(fluctuations, "trial_sums", skewed)
+    assert not lil_scan(sets, trials=20, seed=1).partition_exact
 
 
 def test_single_prime_sum_second_moment(x2p1):
