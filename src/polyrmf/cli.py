@@ -54,12 +54,12 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
     ),
     "sieve-dump": (
         _Opt("poly", str, required=True),
-        _Opt("n_max", int, required=True),
+        _Opt("n_max", int, required=True, minimum=1),
         _Opt("max_rows", int, 0, minimum=0, help="emit only the first rows (0 = all)"),
     ),
     "moments": (
         _Opt("poly", str, required=True),
-        _Opt("n_max", int, required=True),
+        _Opt("n_max", int, required=True, minimum=1),
         _Opt("gcd_threshold", int, 0, minimum=0,
              help="also histogram pair gcds above this (0 = skip)"),
         _Opt("pairs", int, 0, minimum=0, help="sampled gcd pairs (0 = exhaustive)"),
@@ -71,8 +71,8 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
     ),
     "clt": (
         _Opt("poly", str, required=True),
-        _Opt("n_max", int, required=True),
-        _Opt("trials", int, 1000),
+        _Opt("n_max", int, required=True, minimum=1),
+        _Opt("trials", int, 1000, minimum=1),
         _Opt("model", str, "rademacher", choices=("rademacher", "steinhaus")),
         _Opt("normalization", str, "exact", choices=("exact", "kappa")),
         _Opt("prime_bound", int, 100_000, minimum=2),
@@ -84,18 +84,18 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
         _Opt("b", int),
         _Opt("n_max", int),
         _Opt("n_grid", str, help="scan mode: comma-separated cutoffs"),
-        _Opt("ab_samples", int, 100),
-        _Opt("ab_max", int, 1000),
+        _Opt("ab_samples", int, 100, minimum=1),
+        _Opt("ab_max", int, 1000, minimum=2),
         _Opt("max_points", int, 1000, minimum=0, help="cap on points listed in the output"),
         _Opt("points_csv", str, help="write the solution points here"),
     ),
     "fluctuations": (
-        _Opt("base", int, 16),
-        _Opt("scales", int, 8, help="number of scales"),
+        _Opt("base", int, 16, minimum=16),
+        _Opt("scales", int, 8, minimum=2, help="number of scales"),
         _Opt("mode", str, "geometric", choices=("theoretical", "geometric")),
         _Opt("cap", int, 1_000_000),
         _Opt("c", float, 0.01, help="threshold constant"),
-        _Opt("trials", int, 500),
+        _Opt("trials", int, 500, minimum=2),
         _Opt("verify", bool, False, help="recheck set invariants against the table"),
         _Opt("scale_csv", str, help="write the per-scale table here"),
     ),

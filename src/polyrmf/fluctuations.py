@@ -9,15 +9,18 @@ the rows seeing some other scale's prime, and the untouched rows. The first
 piece behaves like an independent block across scales, which is what the
 studentized-maximum statistic exercises.
 
-Every sum of f over rows goes through rmf.trial_sums with the sparse
-row-to-group matrix PrimeClassSets.groups, a partition of the rows below x_k
-into 3k columns, three per band of rows [x_{i-1}, x_i) (0-based rows,
-x_0 = 0). Column 3i - 3 holds class 1 of scale i: an A_i prime has its one
-witness below x_i inside band i. Column 3i - 2 holds the band's other rows
-that hold some scale's prime, and column 3i - 1 the band's untouched rows.
-The partial sum at scale i is then the cumulative sum of the band totals,
-class 3 the cumulative sum of the untouched columns and class 2 the partial
-sum less classes 1 and 3, all exact integers in float64 under Rademacher f.
+Every sum of f over rows goes through rmf.trial_sums with a 0/1 matrix
+built from one column label per row. PrimeClassSets.groups labels each row
+below x_k with one of 3k columns, three per band of rows [x_{i-1}, x_i)
+(0-based rows, x_0 = 0): column 3i - 3 when its only scale prime is of
+scale i (class 1 of scale i: an A_i prime has its one witness below x_i
+inside band i), 3i - 2 when it holds another scale's prime, 3i - 1 when it
+is untouched. The partial sum at scale i is then the cumulative sum of the
+band totals, class 3 the cumulative sum of the untouched columns and class
+2 the partial sum less classes 1 and 3, all exact integers in float64 under
+Rademacher f. The direct recheck of classes 2 and 3 in lil_scan sums a
+touched and an untouched column per band and an own-prime-only column per
+scale.
 """
 from __future__ import annotations
 
@@ -190,35 +193,10 @@ def _row_bitmask(rows: np.ndarray, label: np.ndarray, n: int) -> np.ndarray:
     return bitmask
 
 
-def _csc_columns(columns, n_rows: int, n_cols: int, bound: int) -> sparse.csc_matrix:
-    """0/1 CSC matrix whose column j holds the row indices of columns[j].
-
-    The int32 indices are filled in place; bound caps the total entries.
-    """
-    indices = np.empty(bound, dtype=np.int32)
-    indptr = np.zeros(n_cols + 1, dtype=np.int64)
-    for j, rows in enumerate(columns):
-        indptr[j + 1] = indptr[j] + len(rows)
-        indices[indptr[j]:indptr[j + 1]] = rows
-    nnz = indptr[-1]
-    # csc_matrix keeps the int32 indices unless indptr outgrows them
-    return sparse.csc_matrix((np.ones(nnz), indices[:nnz], indptr), shape=(n_rows, n_cols))
-
-
-def _group_columns(bitmask: np.ndarray, xs: tuple[int, ...]):
-    """Row indices of each groups column, in the order of the module docstring.
-
-    bitmask[n-1] has bit i set when some A_{i+1} prime divides n^2 + 1. A row
-    whose only bit is i holds exactly one A_{i+1} prime: each such prime
-    occurs once below x_{i+1}, at a witness no other kept prime shares, and
-    that witness lies in band i + 1.
-    """
-    for idx, (lo, x) in enumerate(zip((0,) + xs[:-1], xs)):
-        bit = np.uint64(1 << idx)
-        b = bitmask[lo:x]
-        yield lo + np.flatnonzero(b == bit)
-        yield lo + np.flatnonzero((b != bit) & (b != 0))
-        yield lo + np.flatnonzero(b == 0)
+def _membership(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> sparse.csc_matrix:
+    """0/1 CSC matrix with a one at (rows[j], cols[j]) for every j."""
+    # csc_matrix keeps int32 indices while they fit
+    return sparse.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_rows, n_cols))
 
 
 def build_prime_class_sets(
@@ -254,7 +232,8 @@ def build_prime_class_sets(
     second_n = np.full(len(primes), np.iinfo(np.int64).max, dtype=np.int64)
     two = counts > 1
     second_n[two] = n_of[order[starts[two] + 1]]
-    bit_of = np.zeros(len(primes), dtype=np.uint64)
+    # int8 scale labels (k <= _MAX_SCALES) keep the per-entry arrays small
+    label_of = np.full(len(primes), -1, dtype=np.int8)
     prime_sets = []
     first_occ = []
     cand_sizes = []
@@ -270,13 +249,18 @@ def build_prime_class_sets(
         keep = cidx[~np.isin(fn, shared)]
         prime_sets.append(primes[keep])
         first_occ.append(first_n[keep])
-        bit_of[keep] = np.uint64(1 << idx)
-    # the entries of rows below x_k are the first row_ptr[x_k] ones
-    bits = bit_of[inverse[:table.row_ptr[xk]]]
-    hit = np.nonzero(bits)[0]
-    bitmask = np.zeros(xk, dtype=np.uint64)
-    np.bitwise_or.at(bitmask, n_of[hit] - 1, bits[hit])
-    groups = _csc_columns(_group_columns(bitmask, xs), table.n_max, 3 * len(xs), xk)
+        label_of[keep] = idx
+    label = label_of[inverse]
+    hit = label >= 0
+    bitmask = _row_bitmask(n_of[hit] - 1, label[hit], xk)
+    rows = np.arange(xk)
+    band = np.searchsorted(xs, rows, side="right")
+    # a row whose only bit is its band's holds exactly one A_i prime: each
+    # such prime occurs once below x_i, at a witness no other kept prime
+    # shares, and that witness lies in band i
+    own = bitmask == np.uint64(1) << band.astype(np.uint64)
+    cols = 3 * band + np.where(own, 0, np.where(bitmask != 0, 1, 2))
+    groups = _membership(rows, cols, table.n_max, 3 * len(xs))
     sf_counts = groups.T @ np.asarray(table.is_squarefree, dtype=np.float64)
     return PrimeClassSets(
         scales=scales,
@@ -304,25 +288,33 @@ def _class_sums(sums: np.ndarray):
     return s1, msum - s1 - s3, s3, msum
 
 
-def _direct_classes_2_3(sets: PrimeClassSets, seeds) -> np.ndarray:
+def _direct_classes_2_3(sets: PrimeClassSets, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Trial sums of classes 2 and 3 of every scale, summed from their definitions.
 
-    Column 2i holds class 2 of scale i + 1 (rows below x_{i+1} holding another
-    scale's prime), column 2i + 1 its class 3 (untouched rows below x_{i+1}).
-    The rows come from the scale-prime hits that _scale_hits recomputes, not
-    from groups.
+    Returns (d2, d3), each trials by scales. Class 2 of scale i is the rows
+    below x_i holding any scale's prime less those whose only scale prime is
+    of scale i, and class 3 the untouched rows below x_i. So one product sums
+    3k columns, 2i and 2i + 1 the touched and untouched rows of band i + 1
+    and 2k + i the own-prime-only rows of scale i + 1 below x_{i+1}: every
+    row sits in at most two. The rows come from the scale-prime hits that
+    _scale_hits recomputes, not from groups.
     """
-    xs = sets.scales.xs
-    bitmask = _row_bitmask(*_scale_hits(sets)[1:], xs[-1])
-
-    def columns():
-        for idx, x in enumerate(xs):
-            b = bitmask[:x]
-            yield np.flatnonzero(b & ~np.uint64(1 << idx))
-            yield np.flatnonzero(b == 0)
-
-    cols = _csc_columns(columns(), sets.table.n_max, 2 * len(xs), sum(xs))
-    return trial_sums(sets.table, seeds, RADEMACHER, cols)
+    xs = np.array(sets.scales.xs)
+    k, xk = len(xs), xs[-1]
+    _, rows, label = _scale_hits(sets)
+    bitmask = _row_bitmask(rows, label, xk)
+    below = rows < xs[label]
+    rows, label = rows[below], label[below]
+    only = bitmask[rows] == np.uint64(1) << label.astype(np.uint64)
+    # one entry per row, however many primes of its scale it holds
+    own = np.unique(rows[only] * k + label[only])
+    n = np.arange(xk)
+    band = np.searchsorted(xs, n, side="right")
+    cols = np.append(2 * band + (bitmask == 0), 2 * k + own % k)
+    member = _membership(np.append(n, own // k), cols, sets.table.n_max, 3 * k)
+    sums = trial_sums(sets.table, seeds, RADEMACHER, member)
+    bands = np.cumsum(sums[:, :2 * k].reshape(len(sums), k, 2), axis=1)
+    return bands[:, :, 0] - sums[:, 2 * k:], bands[:, :, 1]
 
 
 def three_sum_decomposition(
@@ -347,7 +339,8 @@ class FluctuationReport:
     s2 and s3 are derived from the band sums (see the module docstring).
     partition_exact is True when classes 2 and 3 of every scale, summed
     directly from their definitions for the first min(trials, 64) trials,
-    equal the derived values.
+    equal the derived values; the direct sums are those of
+    _direct_classes_2_3, built from the scale-prime hits, not from groups.
     """
 
     xs: tuple[int, ...]
@@ -395,11 +388,8 @@ def lil_scan(sets: PrimeClassSets, trials: int = 500, seed: int = 0) -> Fluctuat
     seeds = derive_seeds(seed, trials)
     s1, s2, s3, msum = _class_sums(trial_sums(sets.table, seeds, RADEMACHER, sets.groups))
     # one word of Rademacher trials is 64 seeds
-    direct = _direct_classes_2_3(sets, seeds[:64])
-    w = len(direct)
-    partition_exact = np.array_equal(direct[:, 0::2], s2[:w]) and np.array_equal(
-        direct[:, 1::2], s3[:w]
-    )
+    d2, d3 = _direct_classes_2_3(sets, seeds[:64])
+    partition_exact = np.array_equal(d2, s2[:len(d2)]) and np.array_equal(d3, s3[:len(d3)])
     lnln = np.log(np.log(xarr.astype(np.float64)))
     norm_stat = np.abs(msum) / np.sqrt(xarr * lnln)
     sigma = s1.std(axis=0, ddof=1)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .sieve import ValueTable, multi_slice
 
 # integer kernels of int64 value pairs stay within int64 below this
@@ -135,7 +136,7 @@ def mcleish_condition_sums(table: ValueTable) -> tuple[float, float, float]:
     vals, cls = table.values[sf][order], table.largest[sf][order]
     s = len(vals)
     if s == 0:
-        raise ValueError("table has no squarefree values; condition sums undefined")
+        raise DomainError("table has no squarefree values; condition sums undefined")
     # ordered pairs inside each class, by (class, kernel)
     i, ends = np.arange(s), np.searchsorted(cls, cls, side="right")
     (_, kernels), local = _scan_tally(

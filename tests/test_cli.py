@@ -314,6 +314,15 @@ def test_config_file_types_accepted(capsys, tmp_path):
         ("clt", "--poly", "1,0,1", "--n-max", "100", "--normalization", "kappa",
          "--prime-bound", "1"),
         ("moments", "--poly", "1,0,1", "--n-max", "30", "--gcd-threshold", "-4"),
+        ("clt", "--poly", "1,0,1", "--n-max", "100", "--trials", "0"),
+        ("fluctuations", "--trials", "1"),
+        ("fluctuations", "--scales", "1"),
+        ("fluctuations", "--base", "15"),
+        ("curves", "--poly", "1,0,1", "--n-grid", "50", "--ab-samples", "0"),
+        ("curves", "--poly", "1,0,1", "--n-grid", "50", "--ab-max", "1"),
+        ("sieve-dump", "--poly", "1,0,1", "--n-max", "0"),
+        ("moments", "--poly", "1,0,1", "--n-max", "0"),
+        ("clt", "--poly", "1,0,1", "--n-max", "0"),
     ],
 )
 def test_counts_below_minimum_are_usage_errors(capsys, tmp_path, args):
@@ -323,6 +332,8 @@ def test_counts_below_minimum_are_usage_errors(capsys, tmp_path, args):
     error = json.loads(err)["error"]
     assert error["type"] == "UsageError"
     assert flag in error["message"]
+    # a dry run refuses the same plan
+    assert run(capsys, *args, "--dry-run")[:2] == (2, "")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({flag[2:].replace("-", "_"): int(args[-1])}))
     code, _, err = run(capsys, *args[:-2], "--config", str(cfg))
@@ -373,6 +384,20 @@ def test_threads_option_is_gone(capsys, tmp_path):
 def test_kappa_inadmissible_is_domain_error(capsys):
     code, _, err = run(capsys, "kappa", "--poly", "0,6,11,6,1")
     assert code == 3
+    assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("moments", "--poly", "0,0,4", "--n-max", "10"),
+        ("quadruples", "--poly", "0,0,4", "--n-grid", "10,20"),
+    ],
+)
+def test_no_squarefree_values_is_domain_error(capsys, args):
+    # every value of 4x^2 is divisible by 4: the condition sums are undefined
+    code, out, err = run(capsys, *args)
+    assert code == 3 and out == ""
     assert json.loads(err)["error"]["type"] == "DomainError"
 
 

@@ -296,6 +296,66 @@ def test_partition_exact_catches_a_wrong_band_sum(monkeypatch, column):
     assert not lil_scan(sets, trials=20, seed=1).partition_exact
 
 
+@pytest.mark.parametrize("band", [1, 3])
+@pytest.mark.parametrize("source", [0, 2])
+def test_partition_exact_catches_a_misplaced_row(band, source):
+    # one squarefree row of the band's class-1 (source 0) or untouched
+    # (source 2) column moved to its other-touched column
+    sets = _small_sets()
+    src, dst = 3 * band + source, 3 * band + 1
+    g = sets.groups.tolil()
+    rows = g[:, src].nonzero()[0]
+    r = rows[sets.table.is_squarefree[rows]][0]
+    g[r, src], g[r, dst] = 0, 1
+    moved = dataclasses.replace(sets, groups=g.tocsc())
+    assert moved.groups.nnz == sets.groups.nnz
+    assert lil_scan(sets, trials=20, seed=1).partition_exact
+    assert not lil_scan(moved, trials=20, seed=1).partition_exact
+
+
+def test_direct_sums_follow_the_definitions_on_any_sets():
+    # a small prime of a scale-2 witness joins A_2: rows now hold two primes
+    # of one scale, and scale primes sit in every band and past x_2
+    sets = _small_sets()
+    t, xs = sets.table, sets.scales.xs
+    p, q = next((p, q) for p, w in zip(sets.prime_sets[1], sets.first_occurrence[1])
+                for q, _ in t.record(int(w)).factors if q != p)
+    bent = _with_set(sets, 1, [*sets.prime_sets[1], q])
+    scale_of = {int(r): i for i, a in enumerate(bent.prime_sets) for r in a}
+    held = [{scale_of[r] for r, _ in t.record(n).factors if r in scale_of}
+            for n in range(1, xs[-1] + 1)]
+    seeds = derive_seeds(3, 4)
+    d2, d3 = fluctuations._direct_classes_2_3(bent, seeds)
+    for j, seed in enumerate(seeds):
+        f = [f_value(seed, t.record(n)) for n in range(1, xs[-1] + 1)]
+        for i, x in enumerate(xs):
+            assert d2[j, i] == sum(f[r] for r in range(x) if held[r] - {i})
+            assert d3[j, i] == sum(f[r] for r in range(x) if not held[r])
+
+
+def test_direct_check_sums_at_most_two_columns_per_row(monkeypatch):
+    # the direct sums use 3k columns (touched and untouched per band,
+    # own-prime-only per scale) and hold every row below x_k at most twice
+    sets = _small_sets()
+    k, xk = len(sets.scales.xs), sets.scales.xs[-1]
+    real = fluctuations.trial_sums
+    seen = []
+
+    def spy(table, seeds, model, groups=None):
+        if groups is not sets.groups:
+            seen.append(groups)
+        return real(table, seeds, model, groups)
+
+    monkeypatch.setattr(fluctuations, "trial_sums", spy)
+    assert lil_scan(sets, trials=20, seed=1).partition_exact
+    (direct,) = seen
+    assert direct.shape[1] == 3 * k
+    assert xk <= direct.nnz <= 2 * xk
+    assert direct[xk:].nnz == 0
+    # the band columns partition the rows below x_k
+    assert np.array_equal(np.asarray(direct[:xk, :2 * k].sum(axis=1)).ravel(), np.ones(xk))
+
+
 def test_single_prime_sum_second_moment(x2p1):
     # class-1 rows at a scale carry disjoint fresh primes, so the sum over
     # them has variance equal to the number of squarefree class-1 rows
