@@ -23,10 +23,8 @@ import numpy as np
 from . import __version__
 from .curves import exponent_scan, integral_points
 from .errors import DomainError, InfeasibleScaleError
-from .fluctuations import build_prime_class_sets, lil_scan, scale_set
 from .moments import gcd_class_histogram, moment_report
 from .poly import IntPolynomial, classify, fixed_divisor, is_admissible
-from .rmf import monte_carlo_clt
 from .sieve import kappa_euler, sieve_values, smooth_count
 
 _TOOL = "polyrmf"
@@ -40,6 +38,7 @@ class _Opt:
     required: bool = False
     choices: tuple | None = None
     minimum: int | None = None
+    maximum: int | None = None
     help: str = ""
 
 
@@ -91,7 +90,7 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
     ),
     "fluctuations": (
         _Opt("base", int, 16, minimum=16),
-        _Opt("scales", int, 8, minimum=2, help="number of scales"),
+        _Opt("scales", int, 8, minimum=2, maximum=64, help="number of scales"),
         _Opt("mode", str, "geometric", choices=("theoretical", "geometric")),
         _Opt("cap", int, 1_000_000),
         _Opt("c", float, 0.01, help="threshold constant"),
@@ -100,8 +99,8 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
         _Opt("scale_csv", str, help="write the per-scale table here"),
     ),
     "smooth": (
-        _Opt("x", int, required=True),
-        _Opt("y", int, required=True),
+        _Opt("x", int, required=True, minimum=2),
+        _Opt("y", int, required=True, minimum=2),
     ),
 }
 
@@ -161,6 +160,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"missing required option {flag}")
         if opt.minimum is not None and v < opt.minimum:
             raise ValueError(f"{flag} must be >= {opt.minimum}, got {v}")
+        if opt.maximum is not None and v > opt.maximum:
+            raise ValueError(f"{flag} must be <= {opt.maximum}, got {v}")
         if opt.type is float and not math.isfinite(v):
             raise ValueError(f"{flag} must be finite, got {v}")
         cfg[opt.name] = v
@@ -245,6 +246,8 @@ def _run_sieve_dump(cfg: dict):
 
 
 def _run_moments(cfg: dict):
+    if not cfg["gcd_threshold"] and (cfg["pairs"] or cfg["histogram_csv"] is not None):
+        raise ValueError("--pairs and --histogram-csv need --gcd-threshold")
     p = _parse_poly(cfg["poly"])
     table = sieve_values(p, cfg["n_max"])
     data = _plain(moment_report(table))
@@ -286,6 +289,9 @@ def _run_quadruples(cfg: dict):
 
 
 def _run_clt(cfg: dict):
+    # imported here, not at the top, so that the commands that never sum f skip scipy
+    from .rmf import monte_carlo_clt
+
     p = _parse_poly(cfg["poly"])
     report = monte_carlo_clt(
         p,
@@ -309,6 +315,8 @@ def _run_curves(cfg: dict):
     if fixed:
         if cfg["a"] is None or cfg["b"] is None or cfg["n_max"] is None:
             raise ValueError("fixed-pair mode needs --a, --b and --n-max")
+        if cfg["n_grid"] is not None:
+            raise ValueError("fixed-pair mode takes no --n-grid")
         pts = integral_points(p, cfg["a"], cfg["b"], cfg["n_max"])
         shown = pts[: cfg["max_points"]]
         data = {
@@ -325,6 +333,8 @@ def _run_curves(cfg: dict):
         return data, None
     if not cfg["n_grid"]:
         raise ValueError("scan mode needs --n-grid (or pass --a/--b/--n-max)")
+    if cfg["n_max"] is not None or cfg["points_csv"] is not None:
+        raise ValueError("scan mode takes no --n-max or --points-csv")
     report = exponent_scan(
         p,
         n_values=_parse_grid(cfg["n_grid"]),
@@ -336,6 +346,9 @@ def _run_curves(cfg: dict):
 
 
 def _run_fluctuations(cfg: dict):
+    # imported here, not at the top, so that the commands that never sum f skip scipy
+    from .fluctuations import build_prime_class_sets, lil_scan, scale_set
+
     scales = scale_set(cfg["base"], cfg["scales"], mode=cfg["mode"], cap=cfg["cap"])
     sets = build_prime_class_sets(scales, c=cfg["c"])
     report = lil_scan(sets, trials=cfg["trials"], seed=cfg["seed"])

@@ -241,6 +241,30 @@ def test_curves_needs_a_mode(capsys):
     assert json.loads(err)["error"]["type"] == "UsageError"
 
 
+@pytest.mark.parametrize(
+    "args, ignored",
+    [
+        (("moments", "--poly", "1,0,1", "--n-max", "50", "--histogram-csv", "h.csv"),
+         "--histogram-csv"),
+        (("moments", "--poly", "1,0,1", "--n-max", "50", "--pairs", "10"), "--pairs"),
+        (("curves", "--poly", "1,0,1", "--n-grid", "50", "--points-csv", "p.csv"),
+         "--points-csv"),
+        (("curves", "--poly", "1,0,1", "--n-grid", "50", "--n-max", "100"), "--n-max"),
+        (("curves", "--poly", "1,0,1", "--a", "1", "--b", "2", "--n-max", "50",
+          "--n-grid", "50,100"), "--n-grid"),
+    ],
+)
+def test_options_the_run_would_ignore_are_usage_errors(capsys, tmp_path, monkeypatch,
+                                                       args, ignored):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError"
+    assert ignored in error["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_supplies_options(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"poly": "1,0,1", "n_max": 40}))
@@ -323,9 +347,22 @@ def test_config_file_types_accepted(capsys, tmp_path):
         ("sieve-dump", "--poly", "1,0,1", "--n-max", "0"),
         ("moments", "--poly", "1,0,1", "--n-max", "0"),
         ("clt", "--poly", "1,0,1", "--n-max", "0"),
+        ("smooth", "--y", "5", "--x", "1"),
+        ("smooth", "--x", "5", "--y", "1"),
     ],
 )
 def test_counts_below_minimum_are_usage_errors(capsys, tmp_path, args):
+    _assert_refused_as_flag_dry_run_and_config(capsys, tmp_path, args)
+
+
+def test_scales_above_maximum_are_usage_errors(capsys, tmp_path):
+    # per-row scale membership is one uint64 word
+    _assert_refused_as_flag_dry_run_and_config(capsys, tmp_path, ("fluctuations", "--scales", "65"))
+    assert run_json(capsys, "fluctuations", "--scales", "64", "--dry-run")["config"]["scales"] == 64
+
+
+def _assert_refused_as_flag_dry_run_and_config(capsys, tmp_path, args):
+    """The last flag of args, with its value, is a usage error in every way it can be given."""
     flag = args[-2]
     code, out, err = run(capsys, *args)
     assert code == 2 and out == ""
