@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, spec in _SPECS.items():
         sp = subs.add_parser(name)
         for opt in spec + _COMMON:
-            flag = "--" + opt.name.replace("_", "-")
+            flag = _flag(opt.name)
             if opt.type is bool:
                 sp.add_argument(flag, action="store_const", const=True, default=None,
                                 help=opt.help)
@@ -141,6 +141,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
     cfg: dict = {"command": args.command}
+    given = set()
     for opt in spec:
         v = getattr(args, opt.name)
         if v is None and opt.name in file_cfg:
@@ -155,7 +156,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
                 raise ValueError(f"{opt.name} must be one of {opt.choices}")
         if v is None:
             v = opt.default
-        flag = "--" + opt.name.replace("_", "-")
+        else:
+            given.add(opt.name)
+        flag = _flag(opt.name)
         if v is None and opt.required:
             raise ValueError(f"missing required option {flag}")
         if opt.minimum is not None and v < opt.minimum:
@@ -167,7 +170,48 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         cfg[opt.name] = v
     if cfg.get("seed") is None:
         cfg["seed"] = int(os.environ.get("RCL_SEED", "0"))
+    if args.command in _CHECKS:
+        _CHECKS[args.command](cfg, given)
     return cfg
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _check_moments(cfg: dict, given: set) -> None:
+    if not cfg["gcd_threshold"] and (cfg["pairs"] or cfg["histogram_csv"] is not None):
+        raise ValueError("--pairs and --histogram-csv need --gcd-threshold")
+
+
+def _check_curves(cfg: dict, given: set) -> None:
+    """Each mode refuses the options that only the other one reads."""
+    fixed = cfg["a"] is not None or cfg["b"] is not None
+    if fixed:
+        mode, ignored = "fixed-pair mode", ("n_grid", "ab_samples", "ab_max")
+    elif not cfg["n_grid"]:
+        raise ValueError("scan mode needs --n-grid (or pass --a/--b/--n-max)")
+    else:
+        mode, ignored = "scan mode", ("n_max", "points_csv", "max_points")
+    refused = [_flag(name) for name in ignored if name in given]
+    if refused:
+        raise ValueError(f"{mode} takes no {' or '.join(refused)}")
+    if fixed and None in (cfg["a"], cfg["b"], cfg["n_max"]):
+        raise ValueError("fixed-pair mode needs --a, --b and --n-max")
+
+
+def _check_fluctuations(cfg: dict, given: set) -> None:
+    if not cfg["c"] > 0:
+        raise ValueError(f"--c must be > 0, got {cfg['c']}")
+
+
+# option combinations, checked once the options resolve so that a dry run
+# refuses every plan that the run would refuse
+_CHECKS = {
+    "moments": _check_moments,
+    "curves": _check_curves,
+    "fluctuations": _check_fluctuations,
+}
 
 
 def _parse_poly(text: str) -> IntPolynomial:
@@ -246,8 +290,6 @@ def _run_sieve_dump(cfg: dict):
 
 
 def _run_moments(cfg: dict):
-    if not cfg["gcd_threshold"] and (cfg["pairs"] or cfg["histogram_csv"] is not None):
-        raise ValueError("--pairs and --histogram-csv need --gcd-threshold")
     p = _parse_poly(cfg["poly"])
     table = sieve_values(p, cfg["n_max"])
     data = _plain(moment_report(table))
@@ -311,12 +353,7 @@ def _run_clt(cfg: dict):
 
 def _run_curves(cfg: dict):
     p = _parse_poly(cfg["poly"])
-    fixed = cfg["a"] is not None or cfg["b"] is not None
-    if fixed:
-        if cfg["a"] is None or cfg["b"] is None or cfg["n_max"] is None:
-            raise ValueError("fixed-pair mode needs --a, --b and --n-max")
-        if cfg["n_grid"] is not None:
-            raise ValueError("fixed-pair mode takes no --n-grid")
+    if cfg["a"] is not None:
         pts = integral_points(p, cfg["a"], cfg["b"], cfg["n_max"])
         shown = pts[: cfg["max_points"]]
         data = {
@@ -331,10 +368,6 @@ def _run_curves(cfg: dict):
         if cfg["points_csv"]:
             _write_csv(cfg["points_csv"], cfg, "x,y", (f"{x},{y}" for x, y in pts))
         return data, None
-    if not cfg["n_grid"]:
-        raise ValueError("scan mode needs --n-grid (or pass --a/--b/--n-max)")
-    if cfg["n_max"] is not None or cfg["points_csv"] is not None:
-        raise ValueError("scan mode takes no --n-max or --points-csv")
     report = exponent_scan(
         p,
         n_values=_parse_grid(cfg["n_grid"]),

@@ -21,6 +21,10 @@ band totals, class 3 the cumulative sum of the untouched columns and class
 Rademacher f. The direct recheck of classes 2 and 3 in lil_scan sums a
 touched and an untouched column per band and an own-prime-only column per
 scale.
+
+One lookup, _scale_hits, finds the factor entries holding a scale prime for
+build_prime_class_sets, the direct recheck and verify_invariants; the column
+rule above is written once, in _band_columns.
 """
 from __future__ import annotations
 
@@ -132,57 +136,48 @@ class PrimeClassSets:
         """Recheck every set invariant directly against the table.
 
         A prime in two sets fails "disjoint" and is checked only in the first.
-        "partition" holds when every row below x_k, and no other row, sits in
-        exactly one groups column: the one of its own band that its
-        scale-prime hits name.
+        "partition" holds when groups equals the matrix that _band_columns
+        builds from the scale-prime hits that _scale_hits finds.
         """
         xs, k = self.scales.xs, len(self.scales.xs)
-        xk = xs[-1]
         theta = np.array([self.c * x * math.log(x) for x in xs])
         allp = np.concatenate(self.prime_sets)
         scale_of = np.repeat(np.arange(k), [len(a) for a in self.prime_sets])
-        hit, rows, label = _scale_hits(self)
+        hit, rows, label = _scale_hits(self.table, self.prime_sets)
         below = rows < np.array(xs)[label]
         _, per_prime = np.unique(self.table.flat_primes[hit[below]], return_counts=True)
         _, per_row = np.unique(rows[below] * k + label[below], return_counts=True)
-        bitmask = _row_bitmask(rows, label, xk)
-        band = np.searchsorted(xs, np.arange(xk), side="right")
-        own = bitmask == np.uint64(1) << band.astype(np.uint64)
-        expected = 3 * band + np.where(own, 0, np.where(bitmask != 0, 1, 2))
+        expected = _band_columns(xs, rows, label, self.table.n_max)
         g = self.groups
-        counts = np.bincount(g.indices, minlength=xk)
-        partition = len(counts) == xk and bool((counts == 1).all())
-        if partition:
-            placed = np.empty(xk, dtype=np.int64)
-            placed[g.indices] = np.repeat(np.arange(g.shape[1]), np.diff(g.indptr))
-            partition = np.array_equal(placed, expected)
         return {
             "disjoint": len(np.unique(allp)) == len(allp),
             "threshold": bool((allp > theta[scale_of]).all()),
             "single_witness": len(per_prime) == len(allp) and bool((per_prime == 1).all()),
             "fresh": bool((rows >= np.append(0, xs[:-1])[label]).all()),
             "no_shared_value": bool((per_row == 1).all()),
-            "partition": bool(partition),
+            "partition": g.shape == expected.shape and (g != expected).nnz == 0,
         }
 
 
-def _scale_hits(sets: PrimeClassSets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every factor entry of sets.table that holds a prime of some set.
+def _scale_hits(table: ValueTable, prime_sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every factor entry of table that holds a prime of some set.
 
     Returns the entries' positions in flat_primes, their 0-based rows and the
-    0-based scale of their prime, recomputed from the prime sets alone; a
-    prime in two sets is labelled with the first.
+    0-based scale of their prime, from the prime sets and the table alone. A
+    prime in two sets is labelled with the first; a set prime that no row
+    holds matches no entry.
     """
-    t = sets.table
-    allp = np.concatenate(sets.prime_sets)
-    scale_of = np.repeat(np.arange(len(sets.prime_sets)), [len(a) for a in sets.prime_sets])
-    order = np.argsort(allp, kind="stable")
-    sorted_p = allp[order]
-    # the sentinel 0 past the end matches no prime
-    pos = np.searchsorted(sorted_p, t.flat_primes)
-    hit = np.flatnonzero(np.append(sorted_p, 0)[pos] == t.flat_primes)
-    rows = np.searchsorted(t.row_ptr, hit, side="right") - 1
-    return hit, rows, scale_of[order[pos[hit]]]
+    primes, inverse = table.prime_index()
+    # int8 scale labels (k <= _MAX_SCALES) keep the per-entry gather small
+    label_of = np.full(len(primes), -1, dtype=np.int8)
+    # the last set is labelled first, so that the first set's label wins
+    for i in reversed(range(len(prime_sets))):
+        pos = np.searchsorted(primes, prime_sets[i])
+        label_of[pos[primes[np.minimum(pos, len(primes) - 1)] == prime_sets[i]]] = i
+    label = label_of[inverse]
+    hit = np.flatnonzero(label >= 0)
+    rows = np.searchsorted(table.row_ptr, hit, side="right") - 1
+    return hit, rows, label[hit]
 
 
 def _row_bitmask(rows: np.ndarray, label: np.ndarray, n: int) -> np.ndarray:
@@ -197,6 +192,19 @@ def _membership(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) ->
     """0/1 CSC matrix with a one at (rows[j], cols[j]) for every j."""
     # csc_matrix keeps int32 indices while they fit
     return sparse.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_rows, n_cols))
+
+
+def _band_columns(xs, rows: np.ndarray, label: np.ndarray, n_rows: int) -> sparse.csc_matrix:
+    """groups for the scale-prime hits (rows, label), laid out as the module docstring says."""
+    bitmask = _row_bitmask(rows, label, xs[-1])
+    n = np.arange(xs[-1])
+    band = np.searchsorted(xs, n, side="right")
+    # a row whose only bit is its band's holds exactly one A_i prime: each
+    # such prime occurs once below x_i, at a witness no other kept prime
+    # shares, and that witness lies in band i
+    own = bitmask == np.uint64(1) << band.astype(np.uint64)
+    cols = 3 * band + np.where(own, 0, np.where(bitmask != 0, 1, 2))
+    return _membership(n, cols, n_rows, 3 * len(xs))
 
 
 def build_prime_class_sets(
@@ -232,8 +240,6 @@ def build_prime_class_sets(
     second_n = np.full(len(primes), np.iinfo(np.int64).max, dtype=np.int64)
     two = counts > 1
     second_n[two] = n_of[order[starts[two] + 1]]
-    # int8 scale labels (k <= _MAX_SCALES) keep the per-entry arrays small
-    label_of = np.full(len(primes), -1, dtype=np.int8)
     prime_sets = []
     first_occ = []
     cand_sizes = []
@@ -249,18 +255,8 @@ def build_prime_class_sets(
         keep = cidx[~np.isin(fn, shared)]
         prime_sets.append(primes[keep])
         first_occ.append(first_n[keep])
-        label_of[keep] = idx
-    label = label_of[inverse]
-    hit = label >= 0
-    bitmask = _row_bitmask(n_of[hit] - 1, label[hit], xk)
-    rows = np.arange(xk)
-    band = np.searchsorted(xs, rows, side="right")
-    # a row whose only bit is its band's holds exactly one A_i prime: each
-    # such prime occurs once below x_i, at a witness no other kept prime
-    # shares, and that witness lies in band i
-    own = bitmask == np.uint64(1) << band.astype(np.uint64)
-    cols = 3 * band + np.where(own, 0, np.where(bitmask != 0, 1, 2))
-    groups = _membership(rows, cols, table.n_max, 3 * len(xs))
+    _, rows, label = _scale_hits(table, prime_sets)
+    groups = _band_columns(xs, rows, label, table.n_max)
     sf_counts = groups.T @ np.asarray(table.is_squarefree, dtype=np.float64)
     return PrimeClassSets(
         scales=scales,
@@ -297,11 +293,11 @@ def _direct_classes_2_3(sets: PrimeClassSets, seeds) -> tuple[np.ndarray, np.nda
     3k columns, 2i and 2i + 1 the touched and untouched rows of band i + 1
     and 2k + i the own-prime-only rows of scale i + 1 below x_{i+1}: every
     row sits in at most two. The rows come from the scale-prime hits that
-    _scale_hits recomputes, not from groups.
+    _scale_hits finds in the prime sets and the table, not from groups.
     """
     xs = np.array(sets.scales.xs)
     k, xk = len(xs), xs[-1]
-    _, rows, label = _scale_hits(sets)
+    _, rows, label = _scale_hits(sets.table, sets.prime_sets)
     bitmask = _row_bitmask(rows, label, xk)
     below = rows < xs[label]
     rows, label = rows[below], label[below]

@@ -2,10 +2,11 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from polyrmf.cli import main
+from polyrmf.cli import _SPECS, main
 from polyrmf.sieve import kappa_euler
 from polyrmf.poly import IntPolynomial
 
@@ -215,6 +216,9 @@ def test_curves_fixed_pair(capsys, tmp_path):
     for x, y in d["points"]:
         assert x * x + 1 == 2 * (y * y + 1)
     assert "x,y" in pts_csv.read_text().splitlines()
+    # options of scan mode are refused when given, but still echo their defaults
+    cfg = env["config"]
+    assert (cfg["ab_samples"], cfg["ab_max"], cfg["max_points"]) == (100, 1000, 1000)
 
 
 def test_curves_counts_both_branches_of_a_flat_sextic(capsys):
@@ -233,6 +237,7 @@ def test_curves_scan_mode(capsys):
     assert d["n_values"] == [50, 100]
     assert len(d["counts_by_n"]) == 2
     assert len(d["counts_by_n"][0]) == len(d["pairs"])
+    assert env["config"]["max_points"] == 1000
 
 
 def test_curves_needs_a_mode(capsys):
@@ -252,17 +257,22 @@ def test_curves_needs_a_mode(capsys):
         (("curves", "--poly", "1,0,1", "--n-grid", "50", "--n-max", "100"), "--n-max"),
         (("curves", "--poly", "1,0,1", "--a", "1", "--b", "2", "--n-max", "50",
           "--n-grid", "50,100"), "--n-grid"),
+        (("curves", "--poly", "1,0,1", "--a", "1", "--b", "2", "--n-grid", "50"), "--n-grid"),
+        (("curves", "--poly", "1,0,1", "--a", "1", "--b", "2", "--n-max", "50",
+          "--ab-samples", "7"), "--ab-samples"),
+        (("curves", "--poly", "1,0,1", "--a", "1", "--b", "2", "--n-max", "50",
+          "--points-csv", "p.csv", "--ab-max", "9"), "--ab-max"),
+        (("curves", "--poly", "1,0,1", "--n-grid", "50", "--max-points", "1"), "--max-points"),
+        (("fluctuations", "--scale-csv", "s.csv", "--c", "-1"), "--c"),
     ],
 )
 def test_options_the_run_would_ignore_are_usage_errors(capsys, tmp_path, monkeypatch,
                                                        args, ignored):
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *args)
-    assert code == 2 and out == ""
-    error = json.loads(err)["error"]
-    assert error["type"] == "UsageError"
-    assert ignored in error["message"]
-    assert list(tmp_path.iterdir()) == []
+    message = _assert_refused_as_flag_dry_run_and_config(capsys, tmp_path, args)
+    assert ignored in message
+    # the refusal comes before any output file is opened
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_config_file_supplies_options(capsys, tmp_path):
@@ -349,6 +359,7 @@ def test_config_file_types_accepted(capsys, tmp_path):
         ("clt", "--poly", "1,0,1", "--n-max", "0"),
         ("smooth", "--y", "5", "--x", "1"),
         ("smooth", "--x", "5", "--y", "1"),
+        ("fluctuations", "--c", "0"),
     ],
 )
 def test_counts_below_minimum_are_usage_errors(capsys, tmp_path, args):
@@ -362,7 +373,10 @@ def test_scales_above_maximum_are_usage_errors(capsys, tmp_path):
 
 
 def _assert_refused_as_flag_dry_run_and_config(capsys, tmp_path, args):
-    """The last flag of args, with its value, is a usage error in every way it can be given."""
+    """The last flag of args, with its value, is a usage error in every way it can be given.
+
+    Returns the error message of the run given the flag.
+    """
     flag = args[-2]
     code, out, err = run(capsys, *args)
     assert code == 2 and out == ""
@@ -371,11 +385,14 @@ def _assert_refused_as_flag_dry_run_and_config(capsys, tmp_path, args):
     assert flag in error["message"]
     # a dry run refuses the same plan
     assert run(capsys, *args, "--dry-run")[:2] == (2, "")
+    key = flag[2:].replace("-", "_")
+    kind = next(opt.type for opt in _SPECS[args[0]] if opt.name == key)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): int(args[-1])}))
+    cfg.write_text(json.dumps({key: kind(args[-1])}))
     code, _, err = run(capsys, *args[:-2], "--config", str(cfg))
     assert code == 2
     assert flag in json.loads(err)["error"]["message"]
+    return error["message"]
 
 
 def test_unknown_config_key_rejected(capsys, tmp_path):
@@ -480,6 +497,15 @@ def test_fluctuations_small_run(capsys, tmp_path):
     assert all(d["invariants"].values())
     body = [l for l in csv.read_text().splitlines() if not l.startswith(("#", "i,"))]
     assert len(body) == 3
+
+
+def test_fluctuations_verify_data_is_golden(capsys):
+    # the data section of a verified run, as generated before the set lookups
+    # were merged; a refactor must leave every field unchanged
+    golden = Path(__file__).parent / "data" / "fluctuations_verify_seed9.json"
+    env = run_json(capsys, "fluctuations", "--base", "16", "--scales", "6", "--cap", "5000",
+                   "--trials", "30", "--verify", "--seed", "9")
+    assert env["data"] == json.loads(golden.read_text())
 
 
 def test_output_file(capsys, tmp_path):

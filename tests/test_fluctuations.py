@@ -185,6 +185,19 @@ def _shared_value(sets):
     raise AssertionError("every witness value is prime")
 
 
+def _absent_prime(sets):
+    # a prime above every table prime: no row holds it, and the lookup's
+    # search lands past the end of the table's distinct primes
+    p = sympy.nextprime(int(sets.table.prime_index()[0][-1]))
+    return _with_set(sets, 3, np.append(sets.prime_sets[3], p))
+
+
+def _unheld_small_prime(sets):
+    # 3 never divides n^2 + 1, so no row holds it, though the table holds
+    # larger primes
+    return _with_set(sets, 3, np.append(sets.prime_sets[3], 3))
+
+
 def _dropped_row(sets):
     # row 0 leaves every column of the first band
     g = sets.groups.toarray()
@@ -206,6 +219,8 @@ def _misplaced_row(sets):
         ("disjoint", _shared_prime),
         ("threshold", _low_threshold),
         ("single_witness", _two_witnesses),
+        ("single_witness", _absent_prime),
+        ("single_witness", _unheld_small_prime),
         ("fresh", _stale_prime),
         ("no_shared_value", _shared_value),
         ("partition", _dropped_row),
@@ -220,6 +235,15 @@ def test_invariants_catch_corruption(flag, corrupt):
         "disjoint", "threshold", "single_witness", "fresh", "no_shared_value", "partition"
     }
     assert checks[flag] is False, checks
+
+
+def test_empty_sets_pass_every_check():
+    # no prime clears c * x * log x at c = 1000: every row is untouched
+    sets = build_prime_class_sets(scale_set(16, 4, GEOMETRIC, cap=600), c=1000)
+    assert sets.sizes == (0, 0, 0, 0)
+    checks = sets.verify_invariants()
+    assert all(checks.values()), checks
+    assert lil_scan(sets, trials=20, seed=1).partition_exact
 
 
 def test_build_validation(x2p1):
