@@ -9,6 +9,7 @@ import math
 
 from polyrmf.poly import IntPolynomial
 from polyrmf.rmf import monte_carlo_clt
+from polyrmf.sieve import sieve_values
 
 
 def bar(count: int, scale: float) -> str:
@@ -17,7 +18,8 @@ def bar(count: int, scale: float) -> str:
 
 def main() -> None:
     P = IntPolynomial((1, 0, 1))
-    rep = monte_carlo_clt(P, 10**4, 2000, seed=0)
+    table = sieve_values(P, 10**4)
+    rep = monte_carlo_clt(table, 2000, seed=0)
     print(f"P = {P}, N = 10^4, trials = {rep.trials}, seed = {rep.seed}")
     print(f"normalizer sqrt(B) = {rep.normalizer:.3f}")
     print(f"sample m2 = {rep.m2:.4f} (want 1)  m4 = {rep.m4:.4f} (want 3)")
@@ -35,7 +37,7 @@ def main() -> None:
         expect = total * width * math.exp(-mid * mid / 2) / math.sqrt(2 * math.pi)
         print(f"{mid:>6.2f} {bar(c, scale)}  ({c}, normal {expect:.0f})")
 
-    srep = monte_carlo_clt(P, 10**4, 2000, seed=0, model="steinhaus")
+    srep = monte_carlo_clt(table, 2000, seed=0, model="steinhaus")
     print()
     print(f"complex model: mean |S/sqrt(N)|^2 = {srep.m2:.4f} (want 1), "
           f"mean = {srep.mean_real:+.4f}{srep.mean_imag:+.4f}i")

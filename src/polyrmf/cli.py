@@ -167,6 +167,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"{flag} must be <= {opt.maximum}, got {v}")
         if opt.type is float and not math.isfinite(v):
             raise ValueError(f"{flag} must be finite, got {v}")
+        if v is not None and opt.name in _PARSERS:
+            _PARSERS[opt.name](v)
         cfg[opt.name] = v
     if cfg.get("seed") is None:
         cfg["seed"] = int(os.environ.get("RCL_SEED", "0"))
@@ -200,6 +202,11 @@ def _check_curves(cfg: dict, given: set) -> None:
         raise ValueError("fixed-pair mode needs --a, --b and --n-max")
 
 
+def _check_clt(cfg: dict, given: set) -> None:
+    if "prime_bound" in given and (cfg["model"], cfg["normalization"]) != ("rademacher", "kappa"):
+        raise ValueError("--prime-bound needs --normalization kappa and --model rademacher")
+
+
 def _check_fluctuations(cfg: dict, given: set) -> None:
     if not cfg["c"] > 0:
         raise ValueError(f"--c must be > 0, got {cfg['c']}")
@@ -209,6 +216,7 @@ def _check_fluctuations(cfg: dict, given: set) -> None:
 # refuses every plan that the run would refuse
 _CHECKS = {
     "moments": _check_moments,
+    "clt": _check_clt,
     "curves": _check_curves,
     "fluctuations": _check_fluctuations,
 }
@@ -218,17 +226,21 @@ def _parse_poly(text: str) -> IntPolynomial:
     try:
         return IntPolynomial.from_string(text)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad polynomial {text!r}: {exc}") from exc
+        raise ValueError(f"--poly {text!r} is not a polynomial: {exc}") from exc
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
     try:
         grid = tuple(sorted({int(t) for t in text.split(",") if t.strip()}))
     except ValueError as exc:
-        raise ValueError(f"bad integer list {text!r}") from exc
+        raise ValueError(f"--n-grid {text!r} is not a list of integers") from exc
     if not grid or grid[0] < 1:
-        raise ValueError("grid entries must be positive")
+        raise ValueError(f"--n-grid entries must be positive, got {text!r}")
     return grid
+
+
+# strings the runners parse, parsed as they resolve so that a dry run refuses them too
+_PARSERS = {"poly": _parse_poly, "n_grid": _parse_grid}
 
 
 def _plain(obj):
@@ -334,10 +346,9 @@ def _run_clt(cfg: dict):
     # imported here, not at the top, so that the commands that never sum f skip scipy
     from .rmf import monte_carlo_clt
 
-    p = _parse_poly(cfg["poly"])
+    table = sieve_values(_parse_poly(cfg["poly"]), cfg["n_max"])
     report = monte_carlo_clt(
-        p,
-        n_max=cfg["n_max"],
+        table,
         trials=cfg["trials"],
         seed=cfg["seed"],
         model=cfg["model"],

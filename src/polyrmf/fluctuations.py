@@ -116,10 +116,11 @@ def scale_set(base: int, k: int, mode: str = GEOMETRIC, cap: int = 10**6) -> Sca
 class PrimeClassSets:
     """Disjoint per-scale prime sets and the induced row partition.
 
-    groups is the 0/1 CSC matrix of 0-based table rows by the 3k band
-    columns laid out in the module docstring: every row below x_k sits in
-    exactly one column, so groups.nnz == x_k. Classes 2 and 3 of a scale
-    are not columns; they are derived from the band sums.
+    table holds x^2 + 1 for n <= x_k. groups is the 0/1 CSC matrix of its
+    x_k 0-based rows by the 3k band columns laid out in the module
+    docstring: every row sits in exactly one column, so groups.nnz == x_k.
+    Classes 2 and 3 of a scale are not columns; they are derived from the
+    band sums.
     """
 
     scales: ScaleSet
@@ -147,10 +148,10 @@ class PrimeClassSets:
         below = rows < np.array(xs)[label]
         _, per_prime = np.unique(self.table.flat_primes[hit[below]], return_counts=True)
         _, per_row = np.unique(rows[below] * k + label[below], return_counts=True)
-        expected = _band_columns(xs, rows, label, self.table.n_max)
+        expected = _band_columns(xs, rows, label)
         g = self.groups
         return {
-            "disjoint": len(np.unique(allp)) == len(allp),
+            "disjoint": bool((np.diff(np.sort(allp)) != 0).all()),
             "threshold": bool((allp > theta[scale_of]).all()),
             "single_witness": len(per_prime) == len(allp) and bool((per_prime == 1).all()),
             "fresh": bool((rows >= np.append(0, xs[:-1])[label]).all()),
@@ -181,10 +182,9 @@ def _scale_hits(table: ValueTable, prime_sets) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _row_bitmask(rows: np.ndarray, label: np.ndarray, n: int) -> np.ndarray:
-    """Bit i of entry r is set when row r < n holds a prime of scale i + 1."""
-    below = rows < n
+    """n words; bit i of word r is set when row r holds a prime of scale i + 1."""
     bitmask = np.zeros(n, dtype=np.uint64)
-    np.bitwise_or.at(bitmask, rows[below], np.uint64(1) << label[below].astype(np.uint64))
+    np.bitwise_or.at(bitmask, rows, np.uint64(1) << label.astype(np.uint64))
     return bitmask
 
 
@@ -194,7 +194,7 @@ def _membership(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) ->
     return sparse.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_rows, n_cols))
 
 
-def _band_columns(xs, rows: np.ndarray, label: np.ndarray, n_rows: int) -> sparse.csc_matrix:
+def _band_columns(xs, rows: np.ndarray, label: np.ndarray) -> sparse.csc_matrix:
     """groups for the scale-prime hits (rows, label), laid out as the module docstring says."""
     bitmask = _row_bitmask(rows, label, xs[-1])
     n = np.arange(xs[-1])
@@ -204,31 +204,21 @@ def _band_columns(xs, rows: np.ndarray, label: np.ndarray, n_rows: int) -> spars
     # shares, and that witness lies in band i
     own = bitmask == np.uint64(1) << band.astype(np.uint64)
     cols = 3 * band + np.where(own, 0, np.where(bitmask != 0, 1, 2))
-    return _membership(n, cols, n_rows, 3 * len(xs))
+    return _membership(n, cols, xs[-1], 3 * len(xs))
 
 
-def build_prime_class_sets(
-    scales: ScaleSet, c: float = 0.01, table: ValueTable | None = None
-) -> PrimeClassSets:
+def build_prime_class_sets(scales: ScaleSet, c: float = 0.01) -> PrimeClassSets:
     """Extract the per-scale prime sets for x^2 + 1 and classify every row.
 
-    c must be finite and positive. The table, sieved to x_k when not given,
-    may run past x_k: later rows only rule out primes with a second witness
-    there, which cannot matter below x_k, and they join no column.
+    c must be finite and positive. The values of x^2 + 1 are sieved up to
+    x_k, the largest scale; the table is kept as sets.table.
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"threshold constant c must be finite and positive, got {c}")
     if scales.k > _MAX_SCALES:
         raise ValueError(f"at most {_MAX_SCALES} scales are supported")
     xs = scales.xs
-    xk = xs[-1]
-    if table is None:
-        table = sieve_values(IntPolynomial(_TARGET_POLY), xk)
-    else:
-        if tuple(table.poly.coeffs) != _TARGET_POLY:
-            raise ValueError("fluctuation sets are defined for x^2 + 1 only")
-        if table.n_max < xk:
-            raise ValueError("table does not cover the largest scale")
+    table = sieve_values(IntPolynomial(_TARGET_POLY), xs[-1])
     primes, inverse = table.prime_index()
     n_of = np.repeat(np.arange(1, table.n_max + 1), np.diff(table.row_ptr))
     # factor entries are stored in row order, so a stable sort by prime
@@ -256,7 +246,7 @@ def build_prime_class_sets(
         prime_sets.append(primes[keep])
         first_occ.append(first_n[keep])
     _, rows, label = _scale_hits(table, prime_sets)
-    groups = _band_columns(xs, rows, label, table.n_max)
+    groups = _band_columns(xs, rows, label)
     sf_counts = groups.T @ np.asarray(table.is_squarefree, dtype=np.float64)
     return PrimeClassSets(
         scales=scales,

@@ -31,8 +31,8 @@ from scipy.special import ndtr
 
 from .errors import DomainError
 from .moments import _sum_squares, second_moment_exact
-from .poly import IRREDUCIBLE_QUADRATIC, LINEAR_FACTORS, IntPolynomial, classify, is_admissible
-from .sieve import ValueTable, kappa_euler, sieve_values
+from .poly import IRREDUCIBLE_QUADRATIC, LINEAR_FACTORS, classify, is_admissible
+from .sieve import ValueTable, kappa_euler
 
 RADEMACHER = "rademacher"
 STEINHAUS = "steinhaus"
@@ -271,21 +271,21 @@ def _ks_against_normal(x: np.ndarray) -> float:
 
 
 def monte_carlo_clt(
-    P: IntPolynomial,
-    n_max: int,
+    table: ValueTable,
     trials: int,
     seed: int = 0,
     model: str = RADEMACHER,
     normalization: str = "exact",
-    table: ValueTable | None = None,
     prime_bound: int = 100_000,
 ) -> CltReport:
     """Monte Carlo check of the central limit behavior of f-partial sums.
 
+    The sums run over P(n), n <= N, with P = table.poly and N = table.n_max.
     normalization 'exact' divides by the exact L2 norm of the sum (the
     square root of the ordered equal-value squarefree pair count, or of the
-    all-value count for Steinhaus); 'kappa' divides by sqrt(kappa * N)
-    (sqrt(N) for Steinhaus), which requires an admissible polynomial.
+    all-value count for Steinhaus); 'kappa' divides by sqrt(kappa * N), with
+    kappa's Euler product cut at prime_bound (sqrt(N) for Steinhaus, which
+    never reads prime_bound), and requires an admissible polynomial.
     The Kolmogorov statistic is computed against the standard normal (the
     real part scaled by sqrt(2) for Steinhaus) and flagged vacuous below 100
     trials.
@@ -296,10 +296,7 @@ def monte_carlo_clt(
         raise ValueError(f"model must be one of {_MODELS}")
     if normalization not in ("exact", "kappa"):
         raise ValueError("normalization must be 'exact' or 'kappa'")
-    if table is None:
-        table = sieve_values(P, n_max)
-    elif table.n_max != n_max or table.poly.coeffs != P.coeffs:
-        raise ValueError("supplied table does not match the polynomial and range")
+    P, n_max = table.poly, table.n_max
     kind = classify(P).kind
     outside = kind not in (LINEAR_FACTORS, IRREDUCIBLE_QUADRATIC) or not is_admissible(P)
     if normalization == "kappa":

@@ -109,10 +109,9 @@ def test_criterion_3_off_diagonal_decay(grid_tables):
                  + f" loglog_slope={slope:.3f}")
 
 
-def test_criterion_4_normalized_moments(poly, table_1e4):
-    rep = monte_carlo_clt(poly, 10**4, 2000, seed=0, table=table_1e4)
-    srep = monte_carlo_clt(poly, 10**4, 2000, seed=0, model="steinhaus",
-                           table=table_1e4)
+def test_criterion_4_normalized_moments(table_1e4):
+    rep = monte_carlo_clt(table_1e4, 2000, seed=0)
+    srep = monte_carlo_clt(table_1e4, 2000, seed=0, model="steinhaus")
     ok = (
         abs(rep.m2 - 1.0) <= 0.1
         and abs(rep.m4 - 3.0) <= 0.5
@@ -131,9 +130,9 @@ def test_criterion_5_martingale_condition_sums(table_1e4, grid_tables):
                  f"cross={cross_hi:.4f}")
 
 
-def test_criterion_6_monte_carlo_anchoring(poly, grid_tables):
+def test_criterion_6_monte_carlo_anchoring(grid_tables):
     t = grid_tables[2000]
-    rep = monte_carlo_clt(poly, 2000, 2000, seed=0, table=t)
+    rep = monte_carlo_clt(t, 2000, seed=0)
     b = second_moment_exact(t)
     f4 = fourth_moment_exact(t)
     rel2 = abs(rep.raw_m2 - b) / b
@@ -162,9 +161,9 @@ def test_criterion_8_largest_prime_proportion(poly):
                  f"{stats.proportion_gt_n:.4f} (need >= 0.49)")
 
 
-def test_criterion_9_fluctuation_machinery(table_1e4):
+def test_criterion_9_fluctuation_machinery():
     scales = scale_set(1000, 64, cap=10**4)
-    sets = build_prime_class_sets(scales, c=0.01, table=table_1e4)
+    sets = build_prime_class_sets(scales, c=0.01)
     inv = sets.verify_invariants()
     rep = lil_scan(sets, trials=500, seed=0)
     u, frac = rep.threshold_fractions[0]

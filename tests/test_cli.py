@@ -244,6 +244,10 @@ def test_curves_needs_a_mode(capsys):
     code, _, err = run(capsys, "curves", "--poly", "1,0,1")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "UsageError"
+    # a fixed pair without its range
+    code, _, err = run(capsys, "curves", "--poly", "1,0,1", "--a", "1", "--b", "2")
+    assert code == 2
+    assert "--n-max" in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize(
@@ -264,6 +268,10 @@ def test_curves_needs_a_mode(capsys):
           "--points-csv", "p.csv", "--ab-max", "9"), "--ab-max"),
         (("curves", "--poly", "1,0,1", "--n-grid", "50", "--max-points", "1"), "--max-points"),
         (("fluctuations", "--scale-csv", "s.csv", "--c", "-1"), "--c"),
+        (("clt", "--poly", "1,0,1", "--n-max", "50", "--trials", "5", "--histogram-csv", "h.csv",
+          "--prime-bound", "500"), "--prime-bound"),
+        (("clt", "--poly", "1,0,1", "--n-max", "50", "--model", "steinhaus",
+          "--normalization", "kappa", "--prime-bound", "500"), "--prime-bound"),
     ],
 )
 def test_options_the_run_would_ignore_are_usage_errors(capsys, tmp_path, monkeypatch,
@@ -302,6 +310,7 @@ def test_flags_override_config_file(capsys, tmp_path):
         {"c": "0.5"},
         {"mode": 1},
         {"scale_csv": None},
+        {"mode": "bogus"},
     ],
 )
 def test_config_file_types_are_checked(capsys, tmp_path, cfg_json):
@@ -395,6 +404,20 @@ def _assert_refused_as_flag_dry_run_and_config(capsys, tmp_path, args):
     return error["message"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("kappa", "--poly", "abc"),
+        ("moments", "--n-max", "5", "--poly", "0"),
+        ("clt", "--n-max", "5", "--poly", "1,0,1,x"),
+        ("quadruples", "--poly", "1,0,1", "--n-grid", "1,x"),
+        ("curves", "--poly", "1,0,1", "--n-grid", "0,5"),
+    ],
+)
+def test_malformed_poly_and_grid_are_usage_errors(capsys, tmp_path, args):
+    _assert_refused_as_flag_dry_run_and_config(capsys, tmp_path, args)
+
+
 def test_unknown_config_key_rejected(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"poly": "1,0,1", "n_max": 40, "bogus": 1}))
@@ -446,10 +469,14 @@ def test_kappa_inadmissible_is_domain_error(capsys):
     [
         ("moments", "--poly", "0,0,4", "--n-max", "10"),
         ("quadruples", "--poly", "0,0,4", "--n-grid", "10,20"),
+        ("clt", "--poly", "4,0,4", "--n-max", "50", "--trials", "5", "--normalization", "kappa"),
+        ("clt", "--poly", "4,0,4", "--n-max", "50", "--trials", "5", "--normalization", "kappa",
+         "--model", "steinhaus"),
     ],
 )
 def test_no_squarefree_values_is_domain_error(capsys, args):
-    # every value of 4x^2 is divisible by 4: the condition sums are undefined
+    # every value of 4x^2 or 4x^2 + 4 is divisible by 4: the condition sums
+    # are undefined, and clt's kappa normalization needs an admissible P
     code, out, err = run(capsys, *args)
     assert code == 3 and out == ""
     assert json.loads(err)["error"]["type"] == "DomainError"
@@ -506,6 +533,24 @@ def test_fluctuations_verify_data_is_golden(capsys):
     env = run_json(capsys, "fluctuations", "--base", "16", "--scales", "6", "--cap", "5000",
                    "--trials", "30", "--verify", "--seed", "9")
     assert env["data"] == json.loads(golden.read_text())
+
+
+@pytest.mark.parametrize(
+    "name, extra",
+    [
+        ("rademacher_exact", ()),
+        ("steinhaus_exact", ("--model", "steinhaus")),
+        ("rademacher_kappa", ("--normalization", "kappa", "--prime-bound", "2000")),
+    ],
+)
+def test_clt_data_is_golden(capsys, name, extra):
+    # pinned data sections; a refactor of monte_carlo_clt or trial_sums must
+    # leave every field unchanged
+    golden = json.loads((Path(__file__).parent / "data" / "clt_seed9.json").read_text())
+    env = run_json(capsys, "clt", "--poly", "1,0,1", "--n-max", "2000", "--trials", "300",
+                   "--seed", "9", *extra)
+    assert env["data"] == golden[name]
+    assert env["config"]["prime_bound"] == (2000 if "--prime-bound" in extra else 100_000)
 
 
 def test_output_file(capsys, tmp_path):

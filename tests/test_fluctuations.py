@@ -17,9 +17,7 @@ from polyrmf.fluctuations import (
     scale_set,
     three_sum_decomposition,
 )
-from polyrmf.poly import IntPolynomial
 from polyrmf.rmf import derive_seeds, trial_sums
-from polyrmf.sieve import sieve_values
 
 from oracles import f_value
 
@@ -104,12 +102,10 @@ def _column_rows(sets, j):
     return g.indices[g.indptr[j]:g.indptr[j + 1]].tolist()
 
 
-@pytest.mark.parametrize("n_table", [600, 900])
-def test_class_sets_match_brute_force(x2p1, n_table):
-    # a table longer than the last scale must give the same sets and classes
+def test_class_sets_match_brute_force():
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
-    sets = build_prime_class_sets(scales, c=0.05, table=sieve_values(x2p1, n_table))
-    brute_sets, brute_cands, brute_classes = _brute_sets(scales.xs, 0.05, n_table)
+    sets = build_prime_class_sets(scales, c=0.05)
+    brute_sets, brute_cands, brute_classes = _brute_sets(scales.xs, 0.05, 600)
     assert sets.candidate_sizes == tuple(brute_cands)
     for i in range(4):
         assert sets.prime_sets[i].tolist() == brute_sets[i]
@@ -127,7 +123,7 @@ def test_class_sets_match_brute_force(x2p1, n_table):
         touched = [3 * j + m for j in range(i) for m in (0, 1)] + [3 * i + 1]
         assert sorted(r for j in touched for r in _column_rows(sets, j)) == c2
         assert sorted(r for j in range(i + 1) for r in _column_rows(sets, 3 * j + 2)) == c3
-    assert sets.groups.shape == (n_table, 12)
+    assert sets.groups.shape == (600, 12)
     assert sets.groups.nnz == scales.xs[-1]
 
 
@@ -246,26 +242,20 @@ def test_empty_sets_pass_every_check():
     assert lil_scan(sets, trials=20, seed=1).partition_exact
 
 
-def test_build_validation(x2p1):
+def test_build_validation():
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
     for c in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             build_prime_class_sets(scales, c=c)
-    wrong = sieve_values(IntPolynomial((0, 1, 1)), 600)
-    with pytest.raises(ValueError):
-        build_prime_class_sets(scales, table=wrong)
-    short = sieve_values(x2p1, 100)
-    with pytest.raises(ValueError):
-        build_prime_class_sets(scales, table=short)
     wide = scale_set(16, 65, GEOMETRIC, cap=10**6)
     with pytest.raises(ValueError):
         build_prime_class_sets(wide)
 
 
-def test_three_sum_is_exact_partition(x2p1):
+def test_three_sum_is_exact_partition():
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
-    t = sieve_values(x2p1, 600)
-    sets = build_prime_class_sets(scales, c=0.05, table=t)
+    sets = build_prime_class_sets(scales, c=0.05)
+    t = sets.table
     _, _, classes = _brute_sets(scales.xs, 0.05, 600)
     for seed in (0, 5, 11):
         f = [f_value(seed, t.record(n)) for n in range(1, 601)]
@@ -281,12 +271,12 @@ def test_three_sum_is_exact_partition(x2p1):
 
 
 @pytest.mark.parametrize("seed", [4, 19])
-def test_lil_scan_classes_match_class_columns(x2p1, seed):
+def test_lil_scan_classes_match_class_columns(seed):
     # classes 2 and 3 summed over one column per class and scale, built
     # from the brute-force classes, against the derived lil_scan sums
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
-    t = sieve_values(x2p1, 600)
-    sets = build_prime_class_sets(scales, c=0.05, table=t)
+    sets = build_prime_class_sets(scales, c=0.05)
+    t = sets.table
     _, _, classes = _brute_sets(scales.xs, 0.05, 600)
     member = np.zeros((600, 8))
     for i, (_, c2, c3) in enumerate(classes):
@@ -380,12 +370,11 @@ def test_direct_check_sums_at_most_two_columns_per_row(monkeypatch):
     assert np.array_equal(np.asarray(direct[:xk, :2 * k].sum(axis=1)).ravel(), np.ones(xk))
 
 
-def test_single_prime_sum_second_moment(x2p1):
+def test_single_prime_sum_second_moment():
     # class-1 rows at a scale carry disjoint fresh primes, so the sum over
     # them has variance equal to the number of squarefree class-1 rows
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
-    t = sieve_values(x2p1, 600)
-    sets = build_prime_class_sets(scales, c=0.05, table=t)
+    sets = build_prime_class_sets(scales, c=0.05)
     rep = lil_scan(sets, trials=1500, seed=123)
     assert rep.partition_exact
     for i in range(4):
@@ -395,11 +384,10 @@ def test_single_prime_sum_second_moment(x2p1):
             assert rep.s1_sq_mean[i] == pytest.approx(m, rel=0.15)
 
 
-def test_single_prime_sums_uncorrelated_across_scales(x2p1):
+def test_single_prime_sums_uncorrelated_across_scales():
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
-    t = sieve_values(x2p1, 600)
-    sets = build_prime_class_sets(scales, c=0.05, table=t)
-    s1 = trial_sums(t, derive_seeds(9, 1500), "rademacher", sets.groups[:, 0:12:3])
+    sets = build_prime_class_sets(scales, c=0.05)
+    s1 = trial_sums(sets.table, derive_seeds(9, 1500), "rademacher", sets.groups[:, 0:12:3])
     sd = s1.std(axis=0)
     for i in range(4):
         for j in range(i):

@@ -225,7 +225,7 @@ def test_derived_streams_differ(table_1e3):
 
 def test_monte_carlo_mean_is_centered(x2p1):
     t = sieve_values(x2p1, 500)
-    rep = monte_carlo_clt(x2p1, 500, 1000, seed=3, table=t)
+    rep = monte_carlo_clt(t, 1000, seed=3)
     assert isinstance(rep, CltReport)
     assert abs(rep.mean_real) <= 4.0 / math.sqrt(1000)
     assert rep.mean_imag == 0.0
@@ -235,7 +235,7 @@ def test_monte_carlo_mean_is_centered(x2p1):
 
 def test_monte_carlo_raw_moments_near_exact(x2p1):
     t = sieve_values(x2p1, 300)
-    rep = monte_carlo_clt(x2p1, 300, 1500, seed=0, table=t)
+    rep = monte_carlo_clt(t, 1500, seed=0)
     b = second_moment_exact(t)
     f4 = fourth_moment_exact(t)
     assert abs(rep.raw_m2 - b) / b < 0.10
@@ -244,54 +244,54 @@ def test_monte_carlo_raw_moments_near_exact(x2p1):
 
 def test_monte_carlo_kappa_normalization_close_to_exact(x2p1):
     t = sieve_values(x2p1, 2000)
-    a = monte_carlo_clt(x2p1, 2000, 10, seed=1, table=t, normalization="exact")
-    b = monte_carlo_clt(x2p1, 2000, 10, seed=1, table=t, normalization="kappa",
-                        prime_bound=10**4)
+    a = monte_carlo_clt(t, 10, seed=1, normalization="exact")
+    b = monte_carlo_clt(t, 10, seed=1, normalization="kappa", prime_bound=10**4)
     assert b.ks_vacuous  # 10 trials is far below the reliability floor
     assert a.normalizer == pytest.approx(b.normalizer, rel=0.02)
 
 
 def test_monte_carlo_steinhaus_moments(x2p1):
     t = sieve_values(x2p1, 400)
-    rep = monte_carlo_clt(x2p1, 400, 1200, seed=9, model="steinhaus", table=t)
+    rep = monte_carlo_clt(t, 1200, seed=9, model="steinhaus")
     assert abs(rep.m2 - 1.0) < 0.15
     assert abs(rep.m4 - 2.0) < 0.5  # complex normal: E|Z|^4 = 2
     assert rep.normalizer == pytest.approx(math.sqrt(400))  # injective, all rows count
+    # E|f(n)|^2 = 1 on every row, so kappa plays no part
+    kappa = monte_carlo_clt(t, 20, seed=9, model="steinhaus", normalization="kappa")
+    assert kappa.normalizer == math.sqrt(400)
 
 
 def test_monte_carlo_flags_unproven_classes():
     cubic = IntPolynomial((2, 0, 0, 1))
-    rep = monte_carlo_clt(cubic, 200, 5, seed=0)
+    rep = monte_carlo_clt(sieve_values(cubic, 200), 5, seed=0)
     assert rep.outside_proven_class
     square = IntPolynomial((1, 4, 4))  # (2x+1)^2
-    rep2 = monte_carlo_clt(square, 100, 5, seed=0, model="steinhaus")
+    rep2 = monte_carlo_clt(sieve_values(square, 100), 5, seed=0, model="steinhaus")
     assert rep2.outside_proven_class
-    rep3 = monte_carlo_clt(IntPolynomial((1, 0, 1)), 100, 5, seed=0)
+    rep3 = monte_carlo_clt(sieve_values(IntPolynomial((1, 0, 1)), 100), 5, seed=0)
     assert not rep3.outside_proven_class
     linear = IntPolynomial((1, 1))  # x + 1: one linear factor is not enough
-    rep4 = monte_carlo_clt(linear, 100, 10, seed=0)
+    rep4 = monte_carlo_clt(sieve_values(linear, 100), 10, seed=0)
     assert rep4.outside_proven_class
 
 
 def test_monte_carlo_zero_norm_raises():
     square = IntPolynomial((1, 4, 4))  # all values are odd squares
     with pytest.raises(DomainError):
-        monte_carlo_clt(square, 50, 5, seed=0)
+        monte_carlo_clt(sieve_values(square, 50), 5, seed=0)
 
 
 def test_monte_carlo_validation(x2p1):
+    t = sieve_values(x2p1, 100)
     with pytest.raises(ValueError):
-        monte_carlo_clt(x2p1, 100, 0)
+        monte_carlo_clt(t, 0)
     with pytest.raises(ValueError):
-        monte_carlo_clt(x2p1, 100, 5, model="bogus")
+        monte_carlo_clt(t, 5, model="bogus")
     with pytest.raises(ValueError):
-        monte_carlo_clt(x2p1, 100, 5, normalization="bogus")
-    t = sieve_values(x2p1, 50)
-    with pytest.raises(ValueError):
-        monte_carlo_clt(x2p1, 100, 5, table=t)  # range mismatch
+        monte_carlo_clt(t, 5, normalization="bogus")
 
 
 def test_monte_carlo_histogram_totals(x2p1):
-    rep = monte_carlo_clt(x2p1, 200, 300, seed=2)
+    rep = monte_carlo_clt(sieve_values(x2p1, 200), 300, seed=2)
     assert len(rep.hist_edges) == len(rep.hist_counts) + 1
     assert sum(rep.hist_counts) <= 300
