@@ -50,7 +50,8 @@ def _points(vals: np.ndarray, a: int, b: int) -> list[tuple[int, int]]:
     px, py = np.repeat(xs, counts), ys[multi_slice(left, counts)]
     # a*u == b*w with coprime a1, b1: b1 | u, a1 | w and u/b1 == w/a1
     u, w = vals[px], vals[py]
-    assert ((u % b1 == 0) & (w % a1 == 0) & (u // b1 == w // a1)).all()
+    if not ((u % b1 == 0) & (w % a1 == 0) & (u // b1 == w // a1)).all():
+        raise RuntimeError(f"a joined point fails a*P(x) == b*P(y) for (a, b) = ({a}, {b})")
     return list(zip((px + 1).tolist(), (py + 1).tolist()))
 
 

@@ -9,22 +9,22 @@ the rows seeing some other scale's prime, and the untouched rows. The first
 piece behaves like an independent block across scales, which is what the
 studentized-maximum statistic exercises.
 
-Every sum of f over rows goes through rmf.trial_sums with a 0/1 matrix
-built from one column label per row. PrimeClassSets.groups labels each row
-below x_k with one of 3k columns, three per band of rows [x_{i-1}, x_i)
-(0-based rows, x_0 = 0): column 3i - 3 when its only scale prime is of
-scale i (class 1 of scale i: an A_i prime has its one witness below x_i
-inside band i), 3i - 2 when it holds another scale's prime, 3i - 1 when it
-is untouched. The partial sum at scale i is then the cumulative sum of the
-band totals, class 3 the cumulative sum of the untouched columns and class
-2 the partial sum less classes 1 and 3, all exact integers in float64 under
-Rademacher f. The direct recheck of classes 2 and 3 in lil_scan sums a
-touched and an untouched column per band and an own-prime-only column per
-scale.
+Every sum of f over rows goes through rmf.trial_sums with one group label
+per row. PrimeClassSets.labels puts each row below x_k in one of 3k groups,
+three per band of rows [x_{i-1}, x_i) (0-based rows, x_0 = 0): group
+3i - 3 when its only scale prime is of scale i (class 1 of scale i: an A_i
+prime has its one witness below x_i inside band i), 3i - 2 when it holds
+another scale's prime, 3i - 1 when it is untouched. The partial sum at
+scale i is then the cumulative sum of the band totals, class 3 the
+cumulative sum of the untouched groups and class 2 the partial sum less
+classes 1 and 3, all exact integers in float64 under Rademacher f. The
+direct recheck of classes 2 and 3 in lil_scan labels each row twice, with a
+touched or untouched group of its band and with an own-prime-only group of
+its scale.
 
 One lookup, _scale_hits, finds the factor entries holding a scale prime for
-build_prime_class_sets, the direct recheck and verify_invariants; the column
-rule above is written once, in _band_columns.
+build_prime_class_sets, the direct recheck and verify_invariants; the group
+rule above is written once, in _band_labels.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InfeasibleScaleError
 from .poly import IntPolynomial
@@ -116,11 +115,10 @@ def scale_set(base: int, k: int, mode: str = GEOMETRIC, cap: int = 10**6) -> Sca
 class PrimeClassSets:
     """Disjoint per-scale prime sets and the induced row partition.
 
-    table holds x^2 + 1 for n <= x_k. groups is the 0/1 CSC matrix of its
-    x_k 0-based rows by the 3k band columns laid out in the module
-    docstring: every row sits in exactly one column, so groups.nnz == x_k.
-    Classes 2 and 3 of a scale are not columns; they are derived from the
-    band sums.
+    table holds x^2 + 1 for n <= x_k. labels holds, for each of its x_k
+    0-based rows, the one of the 3k band groups laid out in the module
+    docstring that the row sits in. Classes 2 and 3 of a scale are not
+    groups; they are derived from the band sums.
     """
 
     scales: ScaleSet
@@ -130,15 +128,15 @@ class PrimeClassSets:
     first_occurrence: tuple[np.ndarray, ...]
     sizes: tuple[int, ...]
     candidate_sizes: tuple[int, ...]
-    groups: sparse.csc_matrix = field(repr=False)
+    labels: np.ndarray = field(repr=False)
     class1_sf: tuple[int, ...] = ()
 
     def verify_invariants(self) -> dict[str, bool]:
         """Recheck every set invariant directly against the table.
 
         A prime in two sets fails "disjoint" and is checked only in the first.
-        "partition" holds when groups equals the matrix that _band_columns
-        builds from the scale-prime hits that _scale_hits finds.
+        "partition" holds when labels equals what _band_labels computes
+        from the scale-prime hits that _scale_hits finds.
         """
         xs, k = self.scales.xs, len(self.scales.xs)
         theta = np.array([self.c * x * math.log(x) for x in xs])
@@ -148,15 +146,13 @@ class PrimeClassSets:
         below = rows < np.array(xs)[label]
         _, per_prime = np.unique(self.table.flat_primes[hit[below]], return_counts=True)
         _, per_row = np.unique(rows[below] * k + label[below], return_counts=True)
-        expected = _band_columns(xs, rows, label)
-        g = self.groups
         return {
             "disjoint": bool((np.diff(np.sort(allp)) != 0).all()),
             "threshold": bool((allp > theta[scale_of]).all()),
             "single_witness": len(per_prime) == len(allp) and bool((per_prime == 1).all()),
             "fresh": bool((rows >= np.append(0, xs[:-1])[label]).all()),
             "no_shared_value": bool((per_row == 1).all()),
-            "partition": g.shape == expected.shape and (g != expected).nnz == 0,
+            "partition": np.array_equal(self.labels, _band_labels(xs, rows, label)),
         }
 
 
@@ -177,8 +173,14 @@ def _scale_hits(table: ValueTable, prime_sets) -> tuple[np.ndarray, np.ndarray, 
         label_of[pos[primes[np.minimum(pos, len(primes) - 1)] == prime_sets[i]]] = i
     label = label_of[inverse]
     hit = np.flatnonzero(label >= 0)
-    rows = np.searchsorted(table.row_ptr, hit, side="right") - 1
-    return hit, rows, label[hit]
+    return hit, _entry_rows(table)[hit], label[hit]
+
+
+def _entry_rows(table: ValueTable) -> np.ndarray:
+    """Cached 0-based row of every factor entry of table."""
+    if "_entry_rows" not in table.__dict__:
+        table._entry_rows = np.repeat(np.arange(table.n_max), np.diff(table.row_ptr))
+    return table._entry_rows
 
 
 def _row_bitmask(rows: np.ndarray, label: np.ndarray, n: int) -> np.ndarray:
@@ -188,23 +190,15 @@ def _row_bitmask(rows: np.ndarray, label: np.ndarray, n: int) -> np.ndarray:
     return bitmask
 
 
-def _membership(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> sparse.csc_matrix:
-    """0/1 CSC matrix with a one at (rows[j], cols[j]) for every j."""
-    # csc_matrix keeps int32 indices while they fit
-    return sparse.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_rows, n_cols))
-
-
-def _band_columns(xs, rows: np.ndarray, label: np.ndarray) -> sparse.csc_matrix:
-    """groups for the scale-prime hits (rows, label), laid out as the module docstring says."""
+def _band_labels(xs, rows: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """labels for the scale-prime hits (rows, label), laid out as the module docstring says."""
     bitmask = _row_bitmask(rows, label, xs[-1])
-    n = np.arange(xs[-1])
-    band = np.searchsorted(xs, n, side="right")
+    band = np.searchsorted(xs, np.arange(xs[-1]), side="right")
     # a row whose only bit is its band's holds exactly one A_i prime: each
     # such prime occurs once below x_i, at a witness no other kept prime
     # shares, and that witness lies in band i
     own = bitmask == np.uint64(1) << band.astype(np.uint64)
-    cols = 3 * band + np.where(own, 0, np.where(bitmask != 0, 1, 2))
-    return _membership(n, cols, xs[-1], 3 * len(xs))
+    return 3 * band + np.where(own, 0, np.where(bitmask != 0, 1, 2))
 
 
 def build_prime_class_sets(scales: ScaleSet, c: float = 0.01) -> PrimeClassSets:
@@ -220,7 +214,7 @@ def build_prime_class_sets(scales: ScaleSet, c: float = 0.01) -> PrimeClassSets:
     xs = scales.xs
     table = sieve_values(IntPolynomial(_TARGET_POLY), xs[-1])
     primes, inverse = table.prime_index()
-    n_of = np.repeat(np.arange(1, table.n_max + 1), np.diff(table.row_ptr))
+    n_of = _entry_rows(table) + 1
     # factor entries are stored in row order, so a stable sort by prime
     # lists each prime's entries by ascending n
     order = np.argsort(inverse, kind="stable")
@@ -246,8 +240,8 @@ def build_prime_class_sets(scales: ScaleSet, c: float = 0.01) -> PrimeClassSets:
         prime_sets.append(primes[keep])
         first_occ.append(first_n[keep])
     _, rows, label = _scale_hits(table, prime_sets)
-    groups = _band_columns(xs, rows, label)
-    sf_counts = groups.T @ np.asarray(table.is_squarefree, dtype=np.float64)
+    labels = _band_labels(xs, rows, label)
+    sf_counts = np.bincount(labels[np.asarray(table.is_squarefree)], minlength=3 * len(xs))
     return PrimeClassSets(
         scales=scales,
         c=c,
@@ -256,15 +250,15 @@ def build_prime_class_sets(scales: ScaleSet, c: float = 0.01) -> PrimeClassSets:
         first_occurrence=tuple(first_occ),
         sizes=tuple(len(a) for a in prime_sets),
         candidate_sizes=tuple(cand_sizes),
-        groups=groups,
-        class1_sf=tuple(int(n) for n in sf_counts[0:3 * len(xs):3]),
+        labels=labels,
+        class1_sf=tuple(int(n) for n in sf_counts[0::3]),
     )
 
 
 def _class_sums(sums: np.ndarray):
     """Classes 1, 2 and 3 and the partial sum at every scale, from band sums.
 
-    sums[:, 3i:3i + 3] are trial sums over the three columns of band i + 1.
+    sums[:, 3i:3i + 3] are trial sums over the three groups of band i + 1.
     Returns (s1, s2, s3, msum), each trials by scales.
     """
     bands = sums.reshape(len(sums), -1, 3)
@@ -274,16 +268,16 @@ def _class_sums(sums: np.ndarray):
     return s1, msum - s1 - s3, s3, msum
 
 
-def _direct_classes_2_3(sets: PrimeClassSets, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Trial sums of classes 2 and 3 of every scale, summed from their definitions.
+def _direct_classes_2_3(sets: PrimeClassSets, seeds) -> tuple[np.ndarray, ...]:
+    """Band sums, and classes 2 and 3 of every scale summed from their definitions.
 
-    Returns (d2, d3), each trials by scales. Class 2 of scale i is the rows
-    below x_i holding any scale's prime less those whose only scale prime is
-    of scale i, and class 3 the untouched rows below x_i. So one product sums
-    3k columns, 2i and 2i + 1 the touched and untouched rows of band i + 1
-    and 2k + i the own-prime-only rows of scale i + 1 below x_{i+1}: every
-    row sits in at most two. The rows come from the scale-prime hits that
-    _scale_hits finds in the prime sets and the table, not from groups.
+    Returns the sums over sets.labels' 3k groups and (d2, d3), each trials
+    by scales, from one hash of seeds. Class 2 of scale i is the rows below
+    x_i holding any scale's prime less those whose only scale prime is of
+    scale i, and class 3 the untouched rows below x_i. So two more label
+    rows add 3k groups: each band's touched and untouched rows, and each
+    scale's own-prime-only rows below its x_i, from the scale-prime hits
+    that _scale_hits finds in the prime sets and the table, not from labels.
     """
     xs = np.array(sets.scales.xs)
     k, xk = len(xs), xs[-1]
@@ -292,15 +286,13 @@ def _direct_classes_2_3(sets: PrimeClassSets, seeds) -> tuple[np.ndarray, np.nda
     below = rows < xs[label]
     rows, label = rows[below], label[below]
     only = bitmask[rows] == np.uint64(1) << label.astype(np.uint64)
-    # one entry per row, however many primes of its scale it holds
-    own = np.unique(rows[only] * k + label[only])
-    n = np.arange(xk)
-    band = np.searchsorted(xs, n, side="right")
-    cols = np.append(2 * band + (bitmask == 0), 2 * k + own % k)
-    member = _membership(np.append(n, own // k), cols, sets.table.n_max, 3 * k)
-    sums = trial_sums(sets.table, seeds, RADEMACHER, member)
-    bands = np.cumsum(sums[:, :2 * k].reshape(len(sums), k, 2), axis=1)
-    return bands[:, :, 0] - sums[:, 2 * k:], bands[:, :, 1]
+    own = np.full(xk, -1)
+    own[rows[only]] = 5 * k + label[only].astype(np.int64)
+    band = np.searchsorted(xs, np.arange(xk), side="right")
+    labels = np.stack([sets.labels, 3 * k + 2 * band + (bitmask == 0), own])
+    sums = trial_sums(sets.table, seeds, RADEMACHER, (labels, 6 * k))
+    bands = np.cumsum(sums[:, 3 * k:5 * k].reshape(len(sums), k, 2), axis=1)
+    return sums[:, :3 * k], bands[:, :, 0] - sums[:, 5 * k:], bands[:, :, 1]
 
 
 def three_sum_decomposition(
@@ -314,7 +306,8 @@ def three_sum_decomposition(
     k = len(sets.scales.xs)
     if not 1 <= scale_index <= k:
         raise ValueError(f"scale_index must be in [1, {k}]")
-    sums = trial_sums(sets.table, [seed], RADEMACHER, sets.groups[:, :3 * scale_index])
+    labels = np.where(sets.labels < 3 * scale_index, sets.labels, -1)
+    sums = trial_sums(sets.table, [seed], RADEMACHER, (labels, 3 * scale_index))
     return tuple(int(round(float(part[0, -1]))) for part in _class_sums(sums)[:3])
 
 
@@ -326,7 +319,7 @@ class FluctuationReport:
     partition_exact is True when classes 2 and 3 of every scale, summed
     directly from their definitions for the first min(trials, 64) trials,
     equal the derived values; the direct sums are those of
-    _direct_classes_2_3, built from the scale-prime hits, not from groups.
+    _direct_classes_2_3, built from the scale-prime hits, not from labels.
     """
 
     xs: tuple[int, ...]
@@ -358,11 +351,11 @@ def lil_scan(sets: PrimeClassSets, trials: int = 500, seed: int = 0) -> Fluctuat
 
     The scales, the threshold constant and the row classes all come from
     sets, as built by build_prime_class_sets. Each trial sums f over the
-    3k band columns once and derives the three classes and the partial sum
-    of every scale; the first word of trials rechecks classes 2 and 3
-    directly (partition_exact). The per-scale single-prime sums are then
-    studentized by their across-trial standard deviation and the maximum
-    over scales is compared against sqrt(log k).
+    3k band groups once and derives the three classes and the partial sum
+    of every scale; the first word of trials also rechecks classes 2 and 3
+    directly in the same pass (partition_exact). The per-scale single-prime
+    sums are then studentized by their across-trial standard deviation and
+    the maximum over scales is compared against sqrt(log k).
     Scales whose single-prime sum never varies are excluded from the maximum
     and reported.
     """
@@ -372,9 +365,10 @@ def lil_scan(sets: PrimeClassSets, trials: int = 500, seed: int = 0) -> Fluctuat
     k = len(xs)
     xarr = np.array(xs, dtype=np.int64)
     seeds = derive_seeds(seed, trials)
-    s1, s2, s3, msum = _class_sums(trial_sums(sets.table, seeds, RADEMACHER, sets.groups))
     # one word of Rademacher trials is 64 seeds
-    d2, d3 = _direct_classes_2_3(sets, seeds[:64])
+    first, d2, d3 = _direct_classes_2_3(sets, seeds[:64])
+    rest = trial_sums(sets.table, seeds[64:], RADEMACHER, (sets.labels, 3 * k))
+    s1, s2, s3, msum = _class_sums(np.concatenate([first, rest]))
     partition_exact = np.array_equal(d2, s2[:len(d2)]) and np.array_equal(d3, s3[:len(d3)])
     lnln = np.log(np.log(xarr.astype(np.float64)))
     norm_stat = np.abs(msum) / np.sqrt(xarr * lnln)

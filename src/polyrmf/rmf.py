@@ -8,17 +8,17 @@ of the hash, with f supported on squarefree values; Steinhaus f takes f(p)
 uniform on the unit circle, at the angle 2 pi (hash >> 11) / 2**53, extended
 completely multiplicatively.
 
-trial_sums is the one place f is summed. Rademacher trials run 64 to a
-word: bit t of a prime's uint64 sign word is the sign bit of its hash under
-seed t, the XOR of a squarefree row's prime words holds f at that row for
-all 64 trials, and the group sums come from sparse products of a 0/1
-row-to-group matrix with the unpacked bits. Steinhaus angles are held as
-exact uint64 words, theta_p * 2**64 = hash with its low 11 bits cleared, so
-the phase of a row, sum of e * theta_p mod 1, comes exactly from A @ words
+trial_sums is the one place f is summed, over groups of rows given by one
+label per row. Rademacher trials run 64 to a word: bit t of a prime's uint64
+sign word is the sign bit of its hash under seed t, the XOR of a squarefree
+row's prime words holds f at that row for all 64 trials, and the group sums
+come from counts of set bits per group and trial. Steinhaus angles are held
+as exact uint64 words, theta_p * 2**64 = hash with its low 11 bits cleared,
+so the phase of a row, sum of e * theta_p mod 1, comes exactly from A @ words
 in wrapping uint64 arithmetic, with A one cached sparse incidence matrix per
 table (rows by distinct primes, holding exponents). f = exp(2 pi i phase) is
 then a table entry exp(2 pi i k / 2**12) times short Taylor polynomials for
-the cosine and sine of the rest, and is summed by the same group matrix.
+the cosine and sine of the rest, and is summed by a 0/1 group matrix.
 Results depend neither on trial order nor on block size.
 """
 from __future__ import annotations
@@ -44,7 +44,7 @@ _SEED_TWEAK = 0xA0761D6478BD642F
 _PRIME_TWEAK = 0xE7037ED1A0B428DB
 _MIX_C1 = 0xBF58476D1CE4E5B9
 _MIX_C2 = 0x94D049BB133111EB
-# f-values held at once by trial_sums: rows x trials per product
+# f-values held at once by trial_sums: rows x trials per product or unpacking
 _BLOCK_ENTRIES = 1 << 17
 # primes hashed at once against a word of 64 Rademacher seeds
 _HASH_TILE = 1024
@@ -165,34 +165,34 @@ def _unit_circle(phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_parity_words(table: ValueTable, words: np.ndarray) -> np.ndarray:
-    """Per row, the XOR of its primes' sign words; 0 on non-squarefree rows.
+    """Per row, the XOR of its primes' sign words.
 
     Bit t of a squarefree row's word is 1 exactly when f(P(n)) = -1 in trial
-    t. A unit row holds no prime, so its word is 0 and f = 1 there.
+    t; f is 0 on the other rows, which trial_sums leaves out. A unit row
+    holds no prime, so its word is 0 and f = 1 there.
     """
-    out = np.zeros(table.n_max, dtype=np.uint64)
+    out = np.zeros(table.n_max, dtype="<u8")
     starts = table.row_ptr[:-1]
     nonempty = starts < table.row_ptr[1:]
     out[nonempty] = np.bitwise_xor.reduceat(words[table.prime_index()[1]], starts[nonempty])
-    out[~np.asarray(table.is_squarefree)] = 0
     return out
 
 
 def trial_sums(table: ValueTable, seeds, model: str, groups=None) -> np.ndarray:
     """Group sums of f(P(n)), one row per trial seed: shape (len(seeds), n_groups).
 
-    groups is a 0/1 matrix, scipy.sparse or dense, table rows by groups, and
-    row t is groups.T @ f for seeds[t]; groups=None is one group of all
-    rows. Each trial depends on its own seed only, not on trial order or
-    block size.
+    groups is (labels, n_groups): labels holds each table row's group in
+    [0, n_groups), or -1 for none, or is a 2-D stack of such label arrays,
+    and row t is every group's sum of f for seeds[t]; groups=None is one
+    group of all rows. Each trial depends on its own seed only, not on trial
+    order or block size.
 
     Rademacher trials run in words of 64 seeds. A word's sign bits are one
     uint64 per prime (bit t is the sign of f(p) in trial t), and the XOR of
     the words of a squarefree row's primes holds f at that row for all 64
-    trials. With sf the squarefree indicator and bits the odd-parity bit of
-    one trial, the group sums are groups.T @ sf - 2 (groups.T @ bits): exact
-    integers in float64. At most max(1, _BLOCK_ENTRIES // n_max) trial
-    columns of bits are unpacked for one product.
+    trials. With the squarefree rows sorted by label once, a group's sum in
+    trial t is its size less twice the count of its row words with bit t set
+    (unpacked max(1, _BLOCK_ENTRIES // 64) at a time): exact, in float64.
 
     Steinhaus trials run in blocks of max(1, _BLOCK_ENTRIES // n_max) seeds:
     each block hashes its seeds against every prime and clears the low 11
@@ -208,26 +208,37 @@ def trial_sums(table: ValueTable, seeds, model: str, groups=None) -> np.ndarray:
     """
     if model not in _MODELS:
         raise ValueError(f"model must be one of {_MODELS}")
-    if groups is None:
-        groups = sparse.csc_array(np.ones((table.n_max, 1)))
-    gT = groups.T
+    labels, n_groups = (np.zeros(table.n_max, dtype=np.int64), 1) if groups is None else groups
+    labels, n_groups = np.asarray(labels), int(n_groups)
+    if not (np.issubdtype(labels.dtype, np.integer) and labels.ndim in (1, 2)
+            and labels.shape[-1] == table.n_max and ((labels >= -1) & (labels < n_groups)).all()):
+        raise ValueError(f"labels must be ints in [-1, {n_groups}), {table.n_max} to a row")
+    flat = np.flatnonzero((labels >= 0) & (table.is_squarefree if model == RADEMACHER else True))
+    flat = flat[np.argsort(labels.ravel()[flat], kind="stable")]
+    rows, labels = flat % table.n_max, labels.ravel()[flat].astype(np.int64, copy=False)
+    sizes = np.bincount(labels, minlength=n_groups)
     pm = _mix64_u64(table.prime_index()[0].astype(np.uint64) ^ np.uint64(_PRIME_TWEAK))
     seeds = (np.asarray(seeds, dtype=object) & _MASK).astype(np.uint64)
     s0 = _mix64_u64(seeds ^ np.uint64(_SEED_TWEAK))
     dtype = np.float64 if model == RADEMACHER else np.complex128
-    out = np.empty((len(seeds), groups.shape[1]), dtype=dtype)
-    block = max(1, _BLOCK_ENTRIES // table.n_max)
+    out = np.empty((len(seeds), n_groups), dtype=dtype)
     if model == RADEMACHER:
-        sf_sums = (gT @ np.asarray(table.is_squarefree, dtype=np.float64))[:, None]
+        chunk = max(1, _BLOCK_ENTRIES // 64)
         for lo in range(0, len(seeds), 64):
             hi = min(lo + 64, len(seeds))
-            words = _row_parity_words(table, _sign_words(pm, s0[lo:hi]))
-            for c in range(lo, hi, block):
-                shifts = np.arange(c - lo, min(c + block, hi) - lo, dtype=np.uint64)
-                bits = ((words[:, None] >> shifts) & np.uint64(1)).astype(np.float64)
-                out[c:c + len(shifts)] = (sf_sums - 2 * (gT @ bits)).T
+            words = _row_parity_words(table, _sign_words(pm, s0[lo:hi]))[rows]
+            ones = np.zeros((n_groups, 64), dtype=np.int64)
+            for c in range(0, len(rows), chunk):
+                # a chunk's bits, one row per word, summed from each group start
+                bits = np.unpackbits(words[c:c + chunk].view(np.uint8), bitorder="little")
+                at = np.flatnonzero(np.diff(labels[c:c + chunk], prepend=-1))
+                ones[labels[c + at]] += np.add.reduceat(bits.reshape(-1, 64), at, dtype=np.int64)
+            out[lo:hi] = (sizes[:, None] - 2 * ones[:, :hi - lo]).T
         return out
+    gT = sparse.csr_matrix((np.ones(len(rows)), rows, np.append(0, np.cumsum(sizes))),
+                           shape=(n_groups, table.n_max))
     A = _incidence(table)
+    block = max(1, _BLOCK_ENTRIES // table.n_max)
     for lo in range(0, len(seeds), block):
         words = _mix64_u64(pm[:, None] ^ s0[lo:lo + block])
         words &= _ANGLE_MASK

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,28 @@ def test_validation():
         integral_points(p, 1, -2, 10)
     with pytest.raises(ValueError):
         integral_points(p, 1, 1, 0)
+
+
+_BROKEN_JOIN = """
+from polyrmf import curves
+from polyrmf.poly import IntPolynomial
+
+real = curves.multi_slice
+# every x joins the y after its own, so no joined point solves the equation
+curves.multi_slice = lambda starts, lengths: (real(starts, lengths) + 1) % 50
+try:
+    curves.integral_points(IntPolynomial((1, 0, 1)), 1, 1, 50)
+except RuntimeError as exc:
+    print("refused", __debug__, exc)
+"""
+
+
+def test_broken_join_is_refused_under_optimize(src_env):
+    # python -O strips assert statements, and the check must still run
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_JOIN], env=src_env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused False a joined point fails"), proc.stdout
 
 
 def test_exponent_scan_report(x2p1):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 import sympy
-from scipy import sparse
 
 from polyrmf import fluctuations
 from polyrmf.errors import InfeasibleScaleError
@@ -98,8 +97,7 @@ def _brute_sets(xs, c, cap):
 
 
 def _column_rows(sets, j):
-    g = sets.groups
-    return g.indices[g.indptr[j]:g.indptr[j + 1]].tolist()
+    return np.flatnonzero(sets.labels == j).tolist()
 
 
 def test_class_sets_match_brute_force():
@@ -123,8 +121,8 @@ def test_class_sets_match_brute_force():
         touched = [3 * j + m for j in range(i) for m in (0, 1)] + [3 * i + 1]
         assert sorted(r for j in touched for r in _column_rows(sets, j)) == c2
         assert sorted(r for j in range(i + 1) for r in _column_rows(sets, 3 * j + 2)) == c3
-    assert sets.groups.shape == (600, 12)
-    assert sets.groups.nnz == scales.xs[-1]
+    assert sets.labels.shape == (scales.xs[-1],)
+    assert sets.labels.min() >= 0 and sets.labels.max() < 12
 
 
 def test_invariants_hold_on_larger_ladder():
@@ -195,18 +193,17 @@ def _unheld_small_prime(sets):
 
 
 def _dropped_row(sets):
-    # row 0 leaves every column of the first band
-    g = sets.groups.toarray()
-    g[0, :3] = 0
-    return dataclasses.replace(sets, groups=sparse.csc_matrix(g))
+    # row 0 leaves every group of the first band
+    labels = sets.labels.copy()
+    labels[0] = -1
+    return dataclasses.replace(sets, labels=labels)
 
 
 def _misplaced_row(sets):
-    # an untouched row of the second band moves to its other-touched column
-    g = sets.groups.toarray()
-    r = np.flatnonzero(g[:, 5])[0]
-    g[r, 5], g[r, 4] = 0, 1
-    return dataclasses.replace(sets, groups=sparse.csc_matrix(g))
+    # an untouched row of the second band moves to its other-touched group
+    labels = sets.labels.copy()
+    labels[np.flatnonzero(labels == 5)[0]] = 4
+    return dataclasses.replace(sets, labels=labels)
 
 
 @pytest.mark.parametrize(
@@ -272,17 +269,17 @@ def test_three_sum_is_exact_partition():
 
 @pytest.mark.parametrize("seed", [4, 19])
 def test_lil_scan_classes_match_class_columns(seed):
-    # classes 2 and 3 summed over one column per class and scale, built
+    # classes 2 and 3 summed over one group per class and scale, built
     # from the brute-force classes, against the derived lil_scan sums
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
     sets = build_prime_class_sets(scales, c=0.05)
     t = sets.table
     _, _, classes = _brute_sets(scales.xs, 0.05, 600)
-    member = np.zeros((600, 8))
+    labels = np.full((4, 600), -1)  # one stacked label row per scale
     for i, (_, c2, c3) in enumerate(classes):
-        member[c2, 2 * i] = 1
-        member[c3, 2 * i + 1] = 1
-    sums = trial_sums(t, derive_seeds(seed, 100), "rademacher", sparse.csc_matrix(member))
+        labels[i, c2] = 2 * i
+        labels[i, c3] = 2 * i + 1
+    sums = trial_sums(t, derive_seeds(seed, 100), "rademacher", (labels, 8))
     s2, s3 = sums[:, 0::2], sums[:, 1::2]
     rep = lil_scan(sets, trials=100, seed=seed)
     assert rep.partition_exact
@@ -294,15 +291,16 @@ def test_lil_scan_classes_match_class_columns(seed):
 
 @pytest.mark.parametrize("column", [4, 11])
 def test_partition_exact_catches_a_wrong_band_sum(monkeypatch, column):
-    # column 4 is the second band's other-touched rows, 11 the last band's
-    # untouched rows: s2 and s3 are derived from them
+    # group 4 is the second band's other-touched rows, 11 the last band's
+    # untouched rows: s2 and s3 are derived from them. Every band sum call
+    # holds the band groups first, the first word's call the direct groups
+    # after them
     sets = _small_sets()
     real = fluctuations.trial_sums
 
     def skewed(table, seeds, model, groups=None):
         out = real(table, seeds, model, groups)
-        if groups is sets.groups:
-            out[:, column] += 2
+        out[:, column] += 2
         return out
 
     assert lil_scan(sets, trials=20, seed=1).partition_exact
@@ -314,15 +312,13 @@ def test_partition_exact_catches_a_wrong_band_sum(monkeypatch, column):
 @pytest.mark.parametrize("source", [0, 2])
 def test_partition_exact_catches_a_misplaced_row(band, source):
     # one squarefree row of the band's class-1 (source 0) or untouched
-    # (source 2) column moved to its other-touched column
+    # (source 2) group moved to its other-touched group
     sets = _small_sets()
     src, dst = 3 * band + source, 3 * band + 1
-    g = sets.groups.tolil()
-    rows = g[:, src].nonzero()[0]
-    r = rows[sets.table.is_squarefree[rows]][0]
-    g[r, src], g[r, dst] = 0, 1
-    moved = dataclasses.replace(sets, groups=g.tocsc())
-    assert moved.groups.nnz == sets.groups.nnz
+    labels = sets.labels.copy()
+    rows = np.flatnonzero(labels == src)
+    labels[rows[sets.table.is_squarefree[rows]][0]] = dst
+    moved = dataclasses.replace(sets, labels=labels)
     assert lil_scan(sets, trials=20, seed=1).partition_exact
     assert not lil_scan(moved, trials=20, seed=1).partition_exact
 
@@ -339,7 +335,8 @@ def test_direct_sums_follow_the_definitions_on_any_sets():
     held = [{scale_of[r] for r, _ in t.record(n).factors if r in scale_of}
             for n in range(1, xs[-1] + 1)]
     seeds = derive_seeds(3, 4)
-    d2, d3 = fluctuations._direct_classes_2_3(bent, seeds)
+    bands, d2, d3 = fluctuations._direct_classes_2_3(bent, seeds)
+    assert np.array_equal(bands, trial_sums(t, seeds, "rademacher", (bent.labels, 3 * len(xs))))
     for j, seed in enumerate(seeds):
         f = [f_value(seed, t.record(n)) for n in range(1, xs[-1] + 1)]
         for i, x in enumerate(xs):
@@ -348,26 +345,29 @@ def test_direct_sums_follow_the_definitions_on_any_sets():
 
 
 def test_direct_check_sums_at_most_two_columns_per_row(monkeypatch):
-    # the direct sums use 3k columns (touched and untouched per band,
-    # own-prime-only per scale) and hold every row below x_k at most twice
+    # the first word sums the 3k band groups and, in the same call, the 3k
+    # direct groups (touched and untouched per band, own-prime-only per
+    # scale) that hold every row below x_k at most twice; later words sum
+    # the band groups alone
     sets = _small_sets()
     k, xk = len(sets.scales.xs), sets.scales.xs[-1]
     real = fluctuations.trial_sums
     seen = []
 
     def spy(table, seeds, model, groups=None):
-        if groups is not sets.groups:
-            seen.append(groups)
+        seen.append((len(seeds), groups))
         return real(table, seeds, model, groups)
 
     monkeypatch.setattr(fluctuations, "trial_sums", spy)
-    assert lil_scan(sets, trials=20, seed=1).partition_exact
-    (direct,) = seen
-    assert direct.shape[1] == 3 * k
-    assert xk <= direct.nnz <= 2 * xk
-    assert direct[xk:].nnz == 0
-    # the band columns partition the rows below x_k
-    assert np.array_equal(np.asarray(direct[:xk, :2 * k].sum(axis=1)).ravel(), np.ones(xk))
+    assert lil_scan(sets, trials=70, seed=1).partition_exact
+    (first, (stack, n_first)), (rest, (labels, n_rest)) = seen
+    assert (first, rest) == (64, 6) and (n_first, n_rest) == (6 * k, 3 * k)
+    assert labels is sets.labels
+    assert stack.shape == (3, xk) and np.array_equal(stack[0], sets.labels)
+    # the touched and untouched band groups partition the rows below x_k
+    assert ((stack[1] >= 3 * k) & (stack[1] < 5 * k)).all()
+    own = stack[2][stack[2] >= 0]
+    assert ((own >= 5 * k) & (own < 6 * k)).all() and (stack[2] >= -1).all()
 
 
 def test_single_prime_sum_second_moment():
@@ -387,7 +387,8 @@ def test_single_prime_sum_second_moment():
 def test_single_prime_sums_uncorrelated_across_scales():
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
     sets = build_prime_class_sets(scales, c=0.05)
-    s1 = trial_sums(sets.table, derive_seeds(9, 1500), "rademacher", sets.groups[:, 0:12:3])
+    class1 = np.where(sets.labels % 3 == 0, sets.labels // 3, -1)
+    s1 = trial_sums(sets.table, derive_seeds(9, 1500), "rademacher", (class1, 4))
     sd = s1.std(axis=0)
     for i in range(4):
         for j in range(i):

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from polyrmf import rmf
 from polyrmf.errors import DomainError
@@ -78,7 +77,7 @@ def test_steinhaus_completely_multiplicative(x2p1):
 def test_scalar_and_vector_paths_agree():
     for coeffs in [(1, 0, 1), (0, 1, 1)]:
         t = sieve_values(IntPolynomial(coeffs), 400)
-        rows = sparse.identity(t.n_max, format="csc")
+        rows = (np.arange(t.n_max), t.n_max)
         vec = trial_sums(t, [12345], "rademacher", rows)[0]
         sca = np.array([f_value(12345, rec) for rec in t], dtype=float)
         assert np.array_equal(vec, sca)
@@ -97,15 +96,14 @@ def test_derive_seeds_matches_derive_seed():
 @pytest.mark.parametrize("model", ["rademacher", "steinhaus"])
 def test_trial_sums_match_scalar_oracle(coeffs, model):
     t = sieve_values(IntPolynomial(coeffs), 200)
-    member = np.random.default_rng(len(coeffs) + coeffs[0]).random((200, 5)) < 0.3
-    groups = sparse.csc_array(member.astype(np.float64))
+    labels = np.random.default_rng(len(coeffs) + coeffs[0]).integers(-1, 5, 200)
     seeds = [3, 1 << 40, 99]
-    got = trial_sums(t, seeds, model, groups)
+    got = trial_sums(t, seeds, model, (labels, 5))
     whole = trial_sums(t, seeds, model)
     assert got.shape == (3, 5) and whole.shape == (3, 1)
     for row, seed in enumerate(seeds):
         f = [f_value(seed, rec, model) for rec in t]
-        want = [sum(f[n] for n in range(200) if member[n, j]) for j in range(5)]
+        want = [sum(f[n] for n in range(200) if labels[n] == j) for j in range(5)]
         if model == "rademacher":
             assert got[row].tolist() == want
             assert whole[row, 0] == sum(f)
@@ -114,22 +112,51 @@ def test_trial_sums_match_scalar_oracle(coeffs, model):
             assert np.allclose(whole[row, 0], sum(f), atol=1e-9)
 
 
-def test_packed_rademacher_words_match_f_value(table_1e3):
-    # 64 trials share one sign word: these seed counts cross the word boundaries
+def test_packed_rademacher_words_match_f_value(monkeypatch, table_1e3):
+    # 64 trials share one sign word and one lane count: these seed counts
+    # cross the word boundaries
     x2 = sieve_values(IntPolynomial((0, 0, 1)), 300)  # unit and non-squarefree rows
     for t in (table_1e3, x2):
-        member = np.random.default_rng(t.n_max).random((t.n_max, 4)) < 0.4
-        groups = member.astype(np.float64)
-        seeds = derive_seeds(t.n_max, 130)
+        n = t.n_max
+        # stack row 0: groups 0 and 1 (one row each) and 2 (empty) ahead of
+        # random groups 3..5 and -1; stack row 1: every row in group 6 or 7
+        rand = np.random.default_rng(n).integers(-1, 6, n)
+        rand[rand >= 0] = np.maximum(rand[rand >= 0], 3)
+        rand[:2] = [0, 1]
+        labels = np.stack([rand, 6 + np.arange(n) % 2])
+        member = (labels[..., None] == np.arange(8)).any(axis=0)
+        seeds = derive_seeds(n, 130)
         f = np.array([[f_value(s, rec) for rec in t] for s in seeds])
         want = f @ member
+        assert want[:, 0].tolist() == f[:, 0].tolist() and not want[:, 2].any()
         for count in (0, 1, 63, 64, 65, 130):
-            got = trial_sums(t, seeds[:count], "rademacher", sparse.csc_array(groups))
-            assert got.shape == (count, 4)
+            got = trial_sums(t, seeds[:count], "rademacher", (labels, 8))
+            assert got.shape == (count, 8)
             assert np.array_equal(got, want[:count])
-            assert np.array_equal(trial_sums(t, seeds[:count], "rademacher", groups), got)
             whole = trial_sums(t, seeds[:count], "rademacher")
             assert np.array_equal(whole[:, 0], f[:count].sum(axis=1))
+        # chunks of two row words: every group of more than two rows spans chunks
+        monkeypatch.setattr(rmf, "_BLOCK_ENTRIES", 128)
+        assert np.array_equal(trial_sums(t, seeds, "rademacher", (labels, 8)), want)
+        monkeypatch.undo()
+
+
+def test_trial_sums_refuse_bad_labels(table_1e3):
+    seeds = [1, 2]
+    good = np.zeros(1000, dtype=np.int64)
+    for model in ("rademacher", "steinhaus"):
+        for labels, n_groups in [
+            (good[:-1], 1),  # one label short
+            (np.zeros(1001, dtype=np.int64), 1),  # one label too many
+            (np.zeros((2, 999), dtype=np.int64), 1),
+            (good.astype(np.float64), 1),  # not integers
+            (np.append(good[1:], -2), 1),  # below -1
+            (np.append(good[1:], 3), 3),  # one past the last group
+            (good, 0),
+        ]:
+            with pytest.raises(ValueError):
+                trial_sums(table_1e3, seeds, model, (labels, n_groups))
+        assert trial_sums(table_1e3, seeds, model, (good - 1, 0)).shape == (2, 0)
 
 
 def test_trial_sums_memory_stays_bounded(x2p1):
@@ -160,7 +187,7 @@ def test_steinhaus_trial_sums_memory_stays_bounded(x2p1):
 def test_steinhaus_rows_match_exact_phase(coeffs):
     # x^2 holds a unit row and high prime powers; 2x^2+2x+2 has content 2
     t = sieve_values(IntPolynomial(coeffs), 2000)
-    rows = sparse.identity(t.n_max, format="csc")
+    rows = (np.arange(t.n_max), t.n_max)
     seeds = [0, 2024, (1 << 64) - 3]
     units = np.asarray(t.values) == 1
     for seed, got in zip(seeds, trial_sums(t, seeds, "steinhaus", rows)):
@@ -171,9 +198,7 @@ def test_steinhaus_rows_match_exact_phase(coeffs):
 
 
 def test_trial_sums_do_not_depend_on_trial_order(table_1e3):
-    groups = sparse.csc_array(
-        (np.random.default_rng(1).random((1000, 4)) < 0.5).astype(np.float64)
-    )
+    groups = (np.random.default_rng(1).integers(-1, 4, 1000), 4)
     seeds = derive_seeds(5, 12)
     for model in ("rademacher", "steinhaus"):
         full = trial_sums(table_1e3, seeds, model, groups)
@@ -190,9 +215,7 @@ def test_trial_sums_do_not_depend_on_block_size(monkeypatch, table_1e3, model):
     x2 = sieve_values(IntPolynomial((0, 0, 1)), 300)  # unit and non-squarefree rows
     seeds = derive_seeds(11, 40)
     for t in (table_1e3, x2):
-        groups = sparse.csc_array(
-            (np.random.default_rng(2).random((t.n_max, 3)) < 0.5).astype(np.float64)
-        )
+        groups = (np.random.default_rng(2).integers(-1, 3, t.n_max), 3)
         default = [trial_sums(t, seeds, model), trial_sums(t, seeds, model, groups)]
         for entries in (1, 7 * t.n_max, 1 << 30):
             monkeypatch.setattr(rmf, "_BLOCK_ENTRIES", entries)
@@ -204,7 +227,7 @@ def test_trial_sums_do_not_depend_on_block_size(monkeypatch, table_1e3, model):
 def test_partial_sum_by_class_partitions(table_1e3):
     # one group per largest-prime class, the unit class included
     u, cls = np.unique(table_1e3.largest, return_inverse=True)
-    labels = sparse.csc_array((np.ones(len(cls)), (np.arange(len(cls)), cls)))
+    labels = (cls, len(u))
     for model in ("rademacher", "steinhaus"):
         by_class = trial_sums(table_1e3, [77], model, labels)[0]
         whole = trial_sums(table_1e3, [77], model)[0, 0]
