@@ -2,11 +2,14 @@
 
 A growing ladder of scales x_1 < ... < x_k is fixed, and for each scale a set
 A_i of large primes is extracted: p in A_i when p exceeds c * x_i * log x_i,
-p divides n^2 + 1 for exactly one n <= x_i, that n exceeds x_{i-1}, and no
-two chosen primes share their witness n. The sets are pairwise disjoint, so
-the partial sum at scale i splits exactly into the rows seeing one A_i prime,
-the rows seeing some other scale's prime, and the untouched rows. The first
-piece behaves like an independent block across scales, which is what the
+p divides n^2 + 1 for exactly one n <= x_i, and that n exceeds x_{i-1}. No
+two chosen primes then share their witness n. A prime p <= x_i dividing some
+n^2 + 1 has two witnesses up to x_i (r and p - r, or 1 and 3 for p = 2), so
+every prime of A_i exceeds x_i >= n; and n^2 + 1 < (n + 1)^2 holds at most
+one prime factor above n. The sets are pairwise disjoint, so the partial sum
+at scale i splits exactly into the rows seeing one A_i prime, the rows
+seeing some other scale's prime, and the untouched rows. The first piece
+behaves like an independent block across scales, which is what the
 studentized-maximum statistic exercises.
 
 Every sum of f over rows goes through rmf.trial_sums with one group label
@@ -22,9 +25,12 @@ direct recheck of classes 2 and 3 in lil_scan labels each row twice, with a
 touched or untouched group of its band and with an own-prime-only group of
 its scale.
 
-One lookup, _scale_hits, finds the factor entries holding a scale prime for
-build_prime_class_sets, the direct recheck and verify_invariants; the group
-rule above is written once, in _band_labels.
+build_prime_class_sets decides every scale in one pass over the table's
+distinct primes, each prime's first witness fixing its band, and labels the
+rows from that selection. The checks take another route: _scale_hits finds
+the factor entries holding a scale prime from the published prime sets, for
+the direct recheck and verify_invariants. The group rule above is written
+once, in _band_labels.
 """
 from __future__ import annotations
 
@@ -135,8 +141,9 @@ class PrimeClassSets:
         """Recheck every set invariant directly against the table.
 
         A prime in two sets fails "disjoint" and is checked only in the first.
-        "partition" holds when labels equals what _band_labels computes
-        from the scale-prime hits that _scale_hits finds.
+        The hits come from _scale_hits, which reads prime_sets, not the
+        builder's selection; "partition" holds when labels equals what
+        _band_labels computes from them.
         """
         xs, k = self.scales.xs, len(self.scales.xs)
         theta = np.array([self.c * x * math.log(x) for x in xs])
@@ -162,7 +169,8 @@ def _scale_hits(table: ValueTable, prime_sets) -> tuple[np.ndarray, np.ndarray, 
     Returns the entries' positions in flat_primes, their 0-based rows and the
     0-based scale of their prime, from the prime sets and the table alone. A
     prime in two sets is labelled with the first; a set prime that no row
-    holds matches no entry.
+    holds matches no entry. This is the checks' lookup (verify_invariants,
+    _direct_classes_2_3); build_prime_class_sets labels rows without it.
     """
     primes, inverse = table.prime_index()
     # int8 scale labels (k <= _MAX_SCALES) keep the per-entry gather small
@@ -205,7 +213,9 @@ def build_prime_class_sets(scales: ScaleSet, c: float = 0.01) -> PrimeClassSets:
     """Extract the per-scale prime sets for x^2 + 1 and classify every row.
 
     c must be finite and positive. The values of x^2 + 1 are sieved up to
-    x_k, the largest scale; the table is kept as sets.table.
+    x_k, the largest scale; the table is kept as sets.table. Every set is in
+    ascending prime order, and candidate_sizes equals sizes: no witness is
+    shared (module docstring), so no candidate is dropped.
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"threshold constant c must be finite and positive, got {c}")
@@ -214,42 +224,38 @@ def build_prime_class_sets(scales: ScaleSet, c: float = 0.01) -> PrimeClassSets:
     xs = scales.xs
     table = sieve_values(IntPolynomial(_TARGET_POLY), xs[-1])
     primes, inverse = table.prime_index()
-    n_of = _entry_rows(table) + 1
-    # factor entries are stored in row order, so a stable sort by prime
-    # lists each prime's entries by ascending n
-    order = np.argsort(inverse, kind="stable")
-    counts = np.bincount(inverse, minlength=len(primes))
-    starts = np.cumsum(counts) - counts
-    first_n = n_of[order[starts]]
-    second_n = np.full(len(primes), np.iinfo(np.int64).max, dtype=np.int64)
-    two = counts > 1
-    second_n[two] = n_of[order[starts[two] + 1]]
-    prime_sets = []
-    first_occ = []
-    cand_sizes = []
-    for idx, x in enumerate(xs):
-        prev = xs[idx - 1] if idx else 0
-        theta = c * x * math.log(x)
-        cand = (primes > theta) & (first_n > prev) & (first_n <= x) & (second_n > x)
-        cidx = np.nonzero(cand)[0]
-        cand_sizes.append(len(cidx))
-        fn = first_n[cidx]
-        u, cnt = np.unique(fn, return_counts=True)
-        shared = u[cnt > 1]
-        keep = cidx[~np.isin(fn, shared)]
-        prime_sets.append(primes[keep])
-        first_occ.append(first_n[keep])
-    _, rows, label = _scale_hits(table, prime_sets)
-    labels = _band_labels(xs, rows, label)
-    sf_counts = np.bincount(labels[np.asarray(table.is_squarefree)], minlength=3 * len(xs))
+    rows = _entry_rows(table)
+    # a prime's first witness n (its first row + 1) lies in one band
+    # (x_{i-1}, x_i], which fixes the one scale i whose set it can join
+    first_row = np.full(len(primes), table.n_max)
+    np.minimum.at(first_row, inverse, rows)
+    band = np.searchsorted(xs, first_row, side="right")
+    bound = np.array(xs)[band]
+    below = np.bincount(inverse[rows < bound[inverse]], minlength=len(primes))
+    theta = np.array([c * x * math.log(x) for x in xs])
+    # above the threshold, with no second witness up to x_i
+    kept = np.flatnonzero((primes > theta[band]) & (below == 1))
+    sizes = np.bincount(band[kept], minlength=scales.k)
+    # a stable sort by band keeps every set in ascending prime order
+    kept = kept[np.argsort(band[kept], kind="stable")]
+    cuts = np.cumsum(sizes)[:-1]
+    prime_sets = np.split(primes[kept], cuts)
+    first_occ = np.split(first_row[kept] + 1, cuts)
+    # int8 scale labels (k <= _MAX_SCALES) keep the per-entry gather small
+    scale_of = np.full(len(primes), -1, dtype=np.int8)
+    scale_of[kept] = band[kept]
+    label = scale_of[inverse]
+    hit = label >= 0
+    labels = _band_labels(xs, rows[hit], label[hit])
+    sf_counts = np.bincount(labels[np.asarray(table.is_squarefree)], minlength=3 * scales.k)
     return PrimeClassSets(
         scales=scales,
         c=c,
         table=table,
         prime_sets=tuple(prime_sets),
         first_occurrence=tuple(first_occ),
-        sizes=tuple(len(a) for a in prime_sets),
-        candidate_sizes=tuple(cand_sizes),
+        sizes=tuple(int(n) for n in sizes),
+        candidate_sizes=tuple(int(n) for n in sizes),
         labels=labels,
         class1_sf=tuple(int(n) for n in sf_counts[0::3]),
     )
@@ -319,7 +325,10 @@ class FluctuationReport:
     partition_exact is True when classes 2 and 3 of every scale, summed
     directly from their definitions for the first min(trials, 64) trials,
     equal the derived values; the direct sums are those of
-    _direct_classes_2_3, built from the scale-prime hits, not from labels.
+    _direct_classes_2_3, built from the scale-prime hits that _scale_hits
+    finds in the prime sets, not from labels. candidate_sizes counts the
+    primes passing every condition but the shared-witness one, which never
+    binds for x^2 + 1, so it equals sizes.
     """
 
     xs: tuple[int, ...]

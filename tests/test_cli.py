@@ -535,6 +535,16 @@ def test_fluctuations_verify_data_is_golden(capsys):
     assert env["data"] == json.loads(golden.read_text())
 
 
+def test_fluctuations_64_scale_verify_data_is_golden(capsys):
+    # 64 scales: every bit of a row's scale bitmask and int8 scale labels up
+    # to 63 are in use; generated before the builder stopped sharing the
+    # checks' scale-prime lookup
+    golden = Path(__file__).parent / "data" / "fluctuations_verify_64scales_seed9.json"
+    env = run_json(capsys, "fluctuations", "--base", "64", "--scales", "64", "--cap", "20000",
+                   "--trials", "100", "--verify", "--seed", "9")
+    assert env["data"] == json.loads(golden.read_text())
+
+
 @pytest.mark.parametrize(
     "name, extra",
     [

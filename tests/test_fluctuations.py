@@ -100,13 +100,24 @@ def _column_rows(sets, j):
     return np.flatnonzero(sets.labels == j).tolist()
 
 
-def test_class_sets_match_brute_force():
-    scales = scale_set(16, 4, GEOMETRIC, cap=600)
-    sets = build_prime_class_sets(scales, c=0.05)
-    brute_sets, brute_cands, brute_classes = _brute_sets(scales.xs, 0.05, 600)
+@pytest.mark.parametrize(
+    "k, cap, c",
+    [
+        (4, 600, 0.05),
+        # c * x_i * log x_i > x_i at every scale: the threshold binds
+        (10, 1500, 0.5),
+    ],
+)
+def test_class_sets_match_brute_force(k, cap, c):
+    scales = scale_set(16, k, GEOMETRIC, cap=cap)
+    sets = build_prime_class_sets(scales, c=c)
+    brute_sets, brute_cands, brute_classes = _brute_sets(scales.xs, c, cap)
     assert sets.candidate_sizes == tuple(brute_cands)
-    for i in range(4):
+    # no candidate is dropped for a shared witness (module docstring)
+    assert sets.candidate_sizes == sets.sizes
+    for i in range(k):
         assert sets.prime_sets[i].tolist() == brute_sets[i]
+        assert (sets.prime_sets[i] > scales.xs[i]).all()
         first = sets.first_occurrence[i]
         for p, n in zip(sets.prime_sets[i], first):
             assert (n * n + 1) % p == 0
@@ -122,7 +133,7 @@ def test_class_sets_match_brute_force():
         assert sorted(r for j in touched for r in _column_rows(sets, j)) == c2
         assert sorted(r for j in range(i + 1) for r in _column_rows(sets, 3 * j + 2)) == c3
     assert sets.labels.shape == (scales.xs[-1],)
-    assert sets.labels.min() >= 0 and sets.labels.max() < 12
+    assert sets.labels.min() >= 0 and sets.labels.max() < 3 * k
 
 
 def test_invariants_hold_on_larger_ladder():
@@ -228,6 +239,49 @@ def test_invariants_catch_corruption(flag, corrupt):
         "disjoint", "threshold", "single_witness", "fresh", "no_shared_value", "partition"
     }
     assert checks[flag] is False, checks
+
+
+def _moved_hit(hits):
+    # the first scale-3 hit moves to the next row holding no scale prime
+    def mutant(table, prime_sets):
+        hit, rows, label = hits(table, prime_sets)
+        j = np.flatnonzero(label == 2)[0]
+        rows = rows.copy()
+        rows[j] = np.setdiff1d(np.arange(rows[j] + 1, table.n_max), rows)[0]
+        return hit, rows, label
+    return mutant
+
+
+def _relabelled_hit(hits):
+    # the first scale-3 hit is labelled scale 4
+    def mutant(table, prime_sets):
+        hit, rows, label = hits(table, prime_sets)
+        label = label.copy()
+        label[np.flatnonzero(label == 2)[0]] = 3
+        return hit, rows, label
+    return mutant
+
+
+@pytest.mark.parametrize("mutant", [_moved_hit, _relabelled_hit])
+def test_checks_catch_a_wrong_hit_lookup(monkeypatch, mutant):
+    # the sets are built with the checks' lookup broken: a builder that
+    # labelled its rows through that lookup would agree with it
+    monkeypatch.setattr(fluctuations, "_scale_hits", mutant(fluctuations._scale_hits))
+    sets = _small_sets()
+    assert sets.verify_invariants()["partition"] is False
+    if mutant is _moved_hit:
+        assert not lil_scan(sets, trials=20, seed=0).partition_exact
+
+
+def test_builder_does_not_use_the_checks_lookup(monkeypatch):
+    def refuse(table, prime_sets):
+        raise AssertionError("the builder called _scale_hits")
+
+    reference = _small_sets()
+    monkeypatch.setattr(fluctuations, "_scale_hits", refuse)
+    sets = _small_sets()
+    assert sets.sizes == reference.sizes
+    assert np.array_equal(sets.labels, reference.labels)
 
 
 def test_empty_sets_pass_every_check():
