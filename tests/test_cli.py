@@ -570,3 +570,44 @@ def test_output_file(capsys, tmp_path):
     assert code == 0
     assert stdout == ""
     assert json.loads(out.read_text())["data"]["count"] == 77
+
+
+_DATA = Path(__file__).parent / "data"
+_COMMANDS_DATA = json.loads((_DATA / "commands_data.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("kappa", ("kappa", "--poly", "1,0,1", "--prime-bound", "2000")),
+        ("moments_sampled_gcds", ("moments", "--poly", "1,0,1", "--n-max", "200",
+                                  "--gcd-threshold", "5", "--pairs", "500", "--seed", "9")),
+        ("curves_fixed_pair", ("curves", "--poly", "1,0,1", "--a", "1", "--b", "2",
+                               "--n-max", "1000", "--max-points", "3")),
+        ("curves_scan", ("curves", "--poly", "1,0,1", "--n-grid", "100,300",
+                         "--ab-samples", "10", "--ab-max", "50", "--seed", "9")),
+        ("smooth", ("smooth", "--x", "100000", "--y", "100")),
+    ],
+)
+def test_command_data_is_golden(capsys, name, args):
+    # pinned data sections, compared as serialized text so that an int turned
+    # float or a tuple turned string shows too
+    env = run_json(capsys, *args)
+    assert json.dumps(env["data"], sort_keys=True) == json.dumps(_COMMANDS_DATA[name],
+                                                                 sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("sieve_dump", ("sieve-dump", "--poly", "1,0,1", "--n-max", "40")),
+        ("quadruples", ("quadruples", "--poly", "1,0,1", "--n-grid", "100,200,400")),
+    ],
+)
+def test_csv_body_is_golden(capsys, name, args):
+    # every line but the tool, config and wall-time comments, byte for byte
+    code, out, err = run(capsys, *args)
+    assert code == 0, err
+    body = [l for l in out.splitlines()
+            if not l.startswith(("# polyrmf", "# config:", "# wall_time_s:"))]
+    assert "\n".join(body) + "\n" == (_DATA / f"{name}.csv").read_text()
