@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Every subcommand resolves its options from flags, an optional JSON config
-file (flags win), and for the seed the RCL_SEED environment variable as a
-last resort. JSON results are wrapped in a fixed envelope whose data section
-is byte-identical across reruns with the same config; only the wall-time
-field varies. Table-like subcommands (sieve-dump, quadruples) emit CSV with
+file (flags win), and for the seed, which only the commands that draw random
+numbers take, the RCL_SEED environment variable as a last resort. JSON
+results are wrapped in a fixed envelope whose data section is
+byte-identical across reruns with the same config; only the wall-time field
+varies. Table-like subcommands (sieve-dump, quadruples) emit CSV with
 the config echoed in comment lines. Exit codes: 0 success, 2 usage error,
 3 domain error, 4 infeasible scale request.
 """
@@ -42,10 +43,6 @@ class _Opt:
     help: str = ""
 
 
-_COMMON = (
-    _Opt("seed", int, None, help="root seed (falls back to RCL_SEED, then 0)"),
-)
-
 _SPECS: dict[str, tuple[_Opt, ...]] = {
     "kappa": (
         _Opt("poly", str, required=True, help="coefficients, constant first, e.g. 1,0,1"),
@@ -63,6 +60,7 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
              help="also histogram pair gcds above this (0 = skip)"),
         _Opt("pairs", int, 0, minimum=0, help="sampled gcd pairs (0 = exhaustive)"),
         _Opt("histogram_csv", str, help="write the gcd histogram here"),
+        _Opt("seed", int, help="root seed (falls back to RCL_SEED, then 0)"),
     ),
     "quadruples": (
         _Opt("poly", str, required=True),
@@ -76,17 +74,19 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
         _Opt("normalization", str, "exact", choices=("exact", "kappa")),
         _Opt("prime_bound", int, 100_000, minimum=2),
         _Opt("histogram_csv", str, help="write the normalized-sum histogram here"),
+        _Opt("seed", int, help="root seed (falls back to RCL_SEED, then 0)"),
     ),
     "curves": (
         _Opt("poly", str, required=True),
-        _Opt("a", int, help="solve a*P(x) = b*P(y) for this fixed pair"),
-        _Opt("b", int),
-        _Opt("n_max", int),
+        _Opt("a", int, minimum=1, help="solve a*P(x) = b*P(y) for this fixed pair"),
+        _Opt("b", int, minimum=1),
+        _Opt("n_max", int, minimum=1),
         _Opt("n_grid", str, help="scan mode: comma-separated cutoffs"),
         _Opt("ab_samples", int, 100, minimum=1),
         _Opt("ab_max", int, 1000, minimum=2),
         _Opt("max_points", int, 1000, minimum=0, help="cap on points listed in the output"),
         _Opt("points_csv", str, help="write the solution points here"),
+        _Opt("seed", int, help="root seed (falls back to RCL_SEED, then 0)"),
     ),
     "fluctuations": (
         _Opt("base", int, 16, minimum=16),
@@ -97,6 +97,7 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
         _Opt("trials", int, 500, minimum=2),
         _Opt("verify", bool, False, help="recheck set invariants against the table"),
         _Opt("scale_csv", str, help="write the per-scale table here"),
+        _Opt("seed", int, help="root seed (falls back to RCL_SEED, then 0)"),
     ),
     "smooth": (
         _Opt("x", int, required=True, minimum=2),
@@ -111,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", metavar="command")
     for name, spec in _SPECS.items():
         sp = subs.add_parser(name)
-        for opt in spec + _COMMON:
+        for opt in spec:
             flag = _flag(opt.name)
             if opt.type is bool:
                 sp.add_argument(flag, action="store_const", const=True, default=None,
@@ -129,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    spec = _SPECS[args.command] + _COMMON
+    spec = _SPECS[args.command]
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
@@ -159,18 +160,19 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         else:
             given.add(opt.name)
         flag = _flag(opt.name)
-        if v is None and opt.required:
-            raise ValueError(f"missing required option {flag}")
-        if opt.minimum is not None and v < opt.minimum:
+        if v is None:
+            if opt.required:
+                raise ValueError(f"missing required option {flag}")
+        elif opt.minimum is not None and v < opt.minimum:
             raise ValueError(f"{flag} must be >= {opt.minimum}, got {v}")
-        if opt.maximum is not None and v > opt.maximum:
+        elif opt.maximum is not None and v > opt.maximum:
             raise ValueError(f"{flag} must be <= {opt.maximum}, got {v}")
-        if opt.type is float and not math.isfinite(v):
+        elif opt.type is float and not math.isfinite(v):
             raise ValueError(f"{flag} must be finite, got {v}")
-        if v is not None and opt.name in _PARSERS:
+        elif opt.name in _PARSERS:
             _PARSERS[opt.name](v)
         cfg[opt.name] = v
-    if cfg.get("seed") is None:
+    if "seed" in cfg and cfg["seed"] is None:
         cfg["seed"] = int(os.environ.get("RCL_SEED", "0"))
     if args.command in _CHECKS:
         _CHECKS[args.command](cfg, given)
@@ -184,13 +186,15 @@ def _flag(name: str) -> str:
 def _check_moments(cfg: dict, given: set) -> None:
     if not cfg["gcd_threshold"] and (cfg["pairs"] or cfg["histogram_csv"] is not None):
         raise ValueError("--pairs and --histogram-csv need --gcd-threshold")
+    if not cfg["pairs"] and "seed" in given:
+        raise ValueError("--seed needs --pairs: the exhaustive gcd scan draws no pairs")
 
 
 def _check_curves(cfg: dict, given: set) -> None:
     """Each mode refuses the options that only the other one reads."""
     fixed = cfg["a"] is not None or cfg["b"] is not None
     if fixed:
-        mode, ignored = "fixed-pair mode", ("n_grid", "ab_samples", "ab_max")
+        mode, ignored = "fixed-pair mode", ("n_grid", "ab_samples", "ab_max", "seed")
     elif not cfg["n_grid"]:
         raise ValueError("scan mode needs --n-grid (or pass --a/--b/--n-max)")
     else:
@@ -243,25 +247,9 @@ def _parse_grid(text: str) -> tuple[int, ...]:
 _PARSERS = {"poly": _parse_poly, "n_grid": _parse_grid}
 
 
-def _plain(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _plain(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    return obj
-
-
 def _csv_header(cfg: dict, extra: dict | None = None) -> list[str]:
     lines = [f"# {_TOOL} {cfg['command']} {__version__}"]
-    lines.append("# config: " + json.dumps(_plain(cfg), sort_keys=True))
+    lines.append("# config: " + json.dumps(cfg, sort_keys=True))
     for k, v in (extra or {}).items():
         lines.append(f"# {k}: {v}")
     return lines
@@ -304,7 +292,7 @@ def _run_sieve_dump(cfg: dict):
 def _run_moments(cfg: dict):
     p = _parse_poly(cfg["poly"])
     table = sieve_values(p, cfg["n_max"])
-    data = _plain(moment_report(table))
+    data = dataclasses.asdict(moment_report(table))
     data["poly"] = str(p)
     if cfg["gcd_threshold"]:
         hist = gcd_class_histogram(
@@ -313,7 +301,7 @@ def _run_moments(cfg: dict):
             pairs=cfg["pairs"] or None,
             seed=cfg["seed"],
         )
-        data["gcd_histogram"] = _plain(hist)
+        data["gcd_histogram"] = dataclasses.asdict(hist)
         if cfg["histogram_csv"]:
             _write_csv(cfg["histogram_csv"], cfg, "gcd,count",
                        (f"{d},{c}" for d, c in hist.counts))
@@ -359,7 +347,7 @@ def _run_clt(cfg: dict):
         edges, counts = report.hist_edges, report.hist_counts
         _write_csv(cfg["histogram_csv"], cfg, "bin_left,bin_right,count",
                    (f"{lo!r},{hi!r},{c}" for lo, hi, c in zip(edges, edges[1:], counts)))
-    return _plain(report), None
+    return dataclasses.asdict(report), None
 
 
 def _run_curves(cfg: dict):
@@ -386,7 +374,7 @@ def _run_curves(cfg: dict):
         seed=cfg["seed"],
         ab_max=cfg["ab_max"],
     )
-    return _plain(report), None
+    return dataclasses.asdict(report), None
 
 
 def _run_fluctuations(cfg: dict):
@@ -396,7 +384,7 @@ def _run_fluctuations(cfg: dict):
     scales = scale_set(cfg["base"], cfg["scales"], mode=cfg["mode"], cap=cfg["cap"])
     sets = build_prime_class_sets(scales, c=cfg["c"])
     report = lil_scan(sets, trials=cfg["trials"], seed=cfg["seed"])
-    data = _plain(report)
+    data = dataclasses.asdict(report)
     if cfg["verify"]:
         data["invariants"] = sets.verify_invariants()
     if cfg["scale_csv"]:
@@ -458,14 +446,14 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         _emit_error("UsageError", str(exc))
         return 2
+    envelope = {
+        "schema_version": 1,
+        "tool": {"name": _TOOL, "version": __version__},
+        "config": cfg,
+    }
     if args.dry_run:
-        plan = {
-            "schema_version": 1,
-            "tool": {"name": _TOOL, "version": __version__},
-            "config": _plain(cfg),
-            "data": {"dry_run": True},
-        }
-        _write_out(json.dumps(plan, indent=2, sort_keys=True) + "\n", args.output)
+        envelope["data"] = {"dry_run": True}
+        _write_out(json.dumps(envelope, indent=2, sort_keys=True) + "\n", args.output)
         return 0
     t0 = time.perf_counter()
     try:
@@ -484,13 +472,7 @@ def main(argv: list[str] | None = None) -> int:
         header = _csv_header(cfg, {"wall_time_s": f"{wall:.6f}"})
         _write_out("\n".join(header) + "\n" + text, args.output)
         return 0
-    envelope = {
-        "schema_version": 1,
-        "tool": {"name": _TOOL, "version": __version__},
-        "config": _plain(cfg),
-        "wall_time_s": round(wall, 6),
-        "data": data,
-    }
+    envelope.update(wall_time_s=round(wall, 6), data=data)
     _write_out(json.dumps(envelope, indent=2, sort_keys=True) + "\n", args.output)
     return 0
 

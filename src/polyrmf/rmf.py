@@ -15,11 +15,11 @@ row's prime words holds f at that row for all 64 trials, and the group sums
 come from counts of set bits per group and trial. Steinhaus angles are held
 as exact uint64 words, theta_p * 2**64 = hash with its low 11 bits cleared,
 so the phase of a row, sum of e * theta_p mod 1, comes exactly from A @ words
-in wrapping uint64 arithmetic, with A one cached sparse incidence matrix per
-table (rows by distinct primes, holding exponents). f = exp(2 pi i phase) is
-then a table entry exp(2 pi i k / 2**12) times short Taylor polynomials for
-the cosine and sine of the rest, and is summed by a 0/1 group matrix.
-Results depend neither on trial order nor on block size.
+in wrapping uint64 arithmetic, with A the table's sparse incidence matrix
+(rows by distinct primes, holding exponents), built once per call. f =
+exp(2 pi i phase) is then a table entry exp(2 pi i k / 2**12) times short
+Taylor polynomials for the cosine and sine of the rest, and is summed by a
+0/1 group matrix. Results depend neither on trial order nor on block size.
 """
 from __future__ import annotations
 
@@ -89,17 +89,6 @@ def derive_seeds(seed: int, count: int) -> list[int]:
     """Stream seeds of trials 0..count-1: trial t gets mix64(seed + (t + 1) * _GOLDEN)."""
     steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     return _mix64_u64(steps + np.uint64(seed & _MASK)).tolist()
-
-
-def _incidence(table: ValueTable) -> sparse.csr_matrix:
-    """Cached uint64 CSR matrix of exponents, table rows by table.prime_index() primes."""
-    if "_rmf_incidence" not in table.__dict__:
-        primes, inv = table.prime_index()
-        table._rmf_incidence = sparse.csr_matrix(
-            (table.flat_exps.astype(np.uint64), inv, table.row_ptr),
-            shape=(table.n_max, len(primes)),
-        )
-    return table._rmf_incidence
 
 
 def _sign_words(pm: np.ndarray, s0: np.ndarray) -> np.ndarray:
@@ -237,7 +226,8 @@ def trial_sums(table: ValueTable, seeds, model: str, groups=None) -> np.ndarray:
         return out
     gT = sparse.csr_matrix((np.ones(len(rows)), rows, np.append(0, np.cumsum(sizes))),
                            shape=(n_groups, table.n_max))
-    A = _incidence(table)
+    A = sparse.csr_matrix((table.flat_exps.astype(np.uint64), table.prime_index()[1],
+                           table.row_ptr), shape=(table.n_max, len(pm)))
     block = max(1, _BLOCK_ENTRIES // table.n_max)
     for lo in range(0, len(seeds), block):
         words = _mix64_u64(pm[:, None] ^ s0[lo:lo + block])

@@ -272,6 +272,11 @@ def test_curves_needs_a_mode(capsys):
           "--prime-bound", "500"), "--prime-bound"),
         (("clt", "--poly", "1,0,1", "--n-max", "50", "--model", "steinhaus",
           "--normalization", "kappa", "--prime-bound", "500"), "--prime-bound"),
+        (("moments", "--poly", "1,0,1", "--n-max", "50", "--seed", "3"), "--seed"),
+        (("moments", "--poly", "1,0,1", "--n-max", "50", "--gcd-threshold", "2",
+          "--histogram-csv", "h.csv", "--seed", "3"), "--seed"),
+        (("curves", "--poly", "1,0,1", "--a", "1", "--b", "2", "--n-max", "50",
+          "--points-csv", "p.csv", "--seed", "3"), "--seed"),
     ],
 )
 def test_options_the_run_would_ignore_are_usage_errors(capsys, tmp_path, monkeypatch,
@@ -369,6 +374,9 @@ def test_config_file_types_accepted(capsys, tmp_path):
         ("smooth", "--y", "5", "--x", "1"),
         ("smooth", "--x", "5", "--y", "1"),
         ("fluctuations", "--c", "0"),
+        ("curves", "--poly", "1,0,1", "--b", "2", "--n-max", "10", "--a", "0"),
+        ("curves", "--poly", "1,0,1", "--a", "1", "--n-max", "10", "--b", "-3"),
+        ("curves", "--poly", "1,0,1", "--a", "1", "--b", "2", "--n-max", "0"),
     ],
 )
 def test_counts_below_minimum_are_usage_errors(capsys, tmp_path, args):
@@ -433,6 +441,9 @@ def test_seed_env_fallback(capsys, monkeypatch):
     env = run_json(capsys, "clt", "--poly", "1,0,1", "--n-max", "50",
                    "--seed", "7", "--dry-run")
     assert env["config"]["seed"] == 7
+    # the fallback is no explicit --seed, so moments without --pairs takes it
+    env = run_json(capsys, "moments", "--poly", "1,0,1", "--n-max", "50", "--dry-run")
+    assert env["config"]["seed"] == 42
 
 
 def test_missing_required_option(capsys):
@@ -456,6 +467,30 @@ def test_threads_option_is_gone(capsys, tmp_path):
     code, _, err = run(capsys, "smooth", "--config", str(cfg))
     assert code == 2
     assert "threads" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("kappa", "--poly", "1,0,1"),
+        ("sieve-dump", "--poly", "1,0,1", "--n-max", "10"),
+        ("quadruples", "--poly", "1,0,1"),
+        ("smooth", "--x", "10", "--y", "2"),
+    ],
+)
+def test_commands_that_draw_nothing_take_no_seed(capsys, tmp_path, monkeypatch, args):
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--seed", "3", "--dry-run"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    code, _, err = run(capsys, *args, "--config", str(cfg))
+    assert code == 2
+    assert "seed" in json.loads(err)["error"]["message"]
+    # the RCL_SEED fallback is not an option, so it is no error either
+    monkeypatch.setenv("RCL_SEED", "3")
+    assert "seed" not in run_json(capsys, *args, "--dry-run")["config"]
 
 
 def test_kappa_inadmissible_is_domain_error(capsys):

@@ -93,6 +93,12 @@ def test_validation():
         integral_points(p, 1, -2, 10)
     with pytest.raises(ValueError):
         integral_points(p, 1, 1, 0)
+    for kwargs in ({"ab_samples": 0}, {"ab_max": 1}):
+        with pytest.raises(ValueError, match="ab_samples >= 1 and ab_max >= 2"):
+            exponent_scan(p, [10], **kwargs)
+    for n_values in ([], [0, 10], [-5]):
+        with pytest.raises(ValueError, match="n_values must be positive"):
+            exponent_scan(p, n_values)
 
 
 _BROKEN_JOIN = """

@@ -29,6 +29,15 @@ def test_small_table_exact(x2p1):
     assert int(t.is_squarefree.sum()) == 9
 
 
+def test_rows_outside_the_range_are_refused(x2p1, table_60):
+    assert table_60.record(60).n == 60
+    for n in (0, 61):
+        with pytest.raises(IndexError, match=f"n = {n} outside 1..60"):
+            table_60.record(n)
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        sieve_values(x2p1, 0)
+
+
 def test_factorizations_match_sympy(x2p1):
     t = sieve_values(x2p1, 2000)
     rng = np.random.default_rng(0)
