@@ -7,7 +7,9 @@ results are wrapped in a fixed envelope whose data section is
 byte-identical across reruns with the same config; only the wall-time field
 varies. Table-like subcommands (sieve-dump, quadruples) emit CSV with
 the config echoed in comment lines. Exit codes: 0 success, 2 usage error,
-3 domain error, 4 infeasible scale request.
+3 domain error, 4 infeasible scale request; every failure, a refused flag or
+a failed write included, writes one JSON error line to stderr and nothing to
+stdout.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -106,10 +109,23 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses bad flags by raising ValueError, not by exiting."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # any token "-<digit>..." is a value, as from Python 3.13 on, so that
+        # --poly -2,0,1 reads like --poly=-2,0,1
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=_TOOL, description=__doc__)
+    parser = _Parser(prog=_TOOL, description=__doc__)
     parser.add_argument("--version", action="version", version=f"{_TOOL} {__version__}")
-    subs = parser.add_subparsers(dest="command", metavar="command")
+    subs = parser.add_subparsers(dest="command", metavar="command", required=True)
     for name, spec in _SPECS.items():
         sp = subs.add_parser(name)
         for opt in spec:
@@ -167,8 +183,6 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"{flag} must be >= {opt.minimum}, got {v}")
         elif opt.maximum is not None and v > opt.maximum:
             raise ValueError(f"{flag} must be <= {opt.maximum}, got {v}")
-        elif opt.type is float and not math.isfinite(v):
-            raise ValueError(f"{flag} must be finite, got {v}")
         elif opt.name in _PARSERS:
             _PARSERS[opt.name](v)
         cfg[opt.name] = v
@@ -212,8 +226,8 @@ def _check_clt(cfg: dict, given: set) -> None:
 
 
 def _check_fluctuations(cfg: dict, given: set) -> None:
-    if not cfg["c"] > 0:
-        raise ValueError(f"--c must be > 0, got {cfg['c']}")
+    if not 0 < cfg["c"] < math.inf:
+        raise ValueError(f"--c must be finite and > 0, got {cfg['c']}")
 
 
 # option combinations, checked once the options resolve so that a dry run
@@ -423,10 +437,6 @@ _RUNNERS = {
 }
 
 
-def _emit_error(kind: str, message: str) -> None:
-    sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
-
-
 def _write_out(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
@@ -436,45 +446,33 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        _emit_error("UsageError", str(exc))
-        return 2
-    envelope = {
-        "schema_version": 1,
-        "tool": {"name": _TOOL, "version": __version__},
-        "config": cfg,
-    }
-    if args.dry_run:
-        envelope["data"] = {"dry_run": True}
+        envelope = {
+            "schema_version": 1,
+            "tool": {"name": _TOOL, "version": __version__},
+            "config": cfg,
+        }
+        if args.dry_run:
+            envelope["data"] = {"dry_run": True}
+        else:
+            t0 = time.perf_counter()
+            data, text = _RUNNERS[args.command](cfg)
+            wall = time.perf_counter() - t0
+            if text is not None:
+                header = _csv_header(cfg, {"wall_time_s": f"{wall:.6f}"})
+                _write_out("\n".join(header) + "\n" + text, args.output)
+                return 0
+            envelope.update(wall_time_s=round(wall, 6), data=data)
         _write_out(json.dumps(envelope, indent=2, sort_keys=True) + "\n", args.output)
         return 0
-    t0 = time.perf_counter()
-    try:
-        data, text = _RUNNERS[args.command](cfg)
-    except InfeasibleScaleError as exc:
-        _emit_error("InfeasibleScaleError", str(exc))
-        return 4
-    except DomainError as exc:
-        _emit_error("DomainError", str(exc))
-        return 3
-    except ValueError as exc:
-        _emit_error("UsageError", str(exc))
-        return 2
-    wall = time.perf_counter() - t0
-    if text is not None:
-        header = _csv_header(cfg, {"wall_time_s": f"{wall:.6f}"})
-        _write_out("\n".join(header) + "\n" + text, args.output)
-        return 0
-    envelope.update(wall_time_s=round(wall, 6), data=data)
-    _write_out(json.dumps(envelope, indent=2, sort_keys=True) + "\n", args.output)
-    return 0
+    except (ValueError, OSError) as exc:
+        code = (4 if isinstance(exc, InfeasibleScaleError)
+                else 3 if isinstance(exc, DomainError) else 2)
+        kind = ("UsageError", "DomainError", "InfeasibleScaleError")[code - 2]
+        sys.stderr.write(json.dumps({"error": {"type": kind, "message": str(exc)}}) + "\n")
+        return code
 
 
 if __name__ == "__main__":

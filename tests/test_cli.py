@@ -23,15 +23,60 @@ def run_json(capsys, *args):
     return json.loads(out)
 
 
-def test_no_command_is_usage_error(capsys):
-    code, _, err = run(capsys)
-    assert code == 2
+def run_refused(capsys, *args):
+    """Runs args, which must return 2 with no output and one JSON UsageError line.
+
+    Returns the error message.
+    """
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, ""), err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError"
+    return error["message"]
 
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("args", [("--help",), ("clt", "--help")])
+def test_help_flag_exits_zero(capsys, args):
+    # help and version are the only runs that leave main through SystemExit
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 0
+    assert "usage: polyrmf" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra", [(), ("--dry-run",)], ids=["run", "dry-run"])
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        pytest.param(("smooth", "--x", "10", "--y", "2", "--bogus", "1"), "--bogus",
+                     id="unknown-flag"),
+        pytest.param(("clt", "--poly", "1,0,1", "--n-max", "10", "--trials", "abc"), "--trials",
+                     id="bad-int"),
+        pytest.param(("clt", "--poly", "1,0,1", "--n-max", "10", "--model", "bogus"), "--model",
+                     id="bad-choice"),
+        pytest.param(("kappa", "--poly"), "--poly", id="flag-without-value"),
+        pytest.param(("bogus",), "bogus", id="unknown-command"),
+        pytest.param((), "command", id="no-command"),
+    ],
+)
+def test_argparse_refusals_are_usage_errors(capsys, args, named, extra):
+    assert named in run_refused(capsys, *args, *extra)
+
+
+def test_negative_constant_term_after_a_space(capsys):
+    # x^2 - 2 is an irreducible quadratic; "-2,0,1" is a value, not a flag
+    spaced = run_json(capsys, "kappa", "--poly", "-2,0,1", "--prime-bound", "2000")
+    joined = run_json(capsys, "kappa", "--poly=-2,0,1", "--prime-bound", "2000")
+    assert spaced["data"] == joined["data"]
+    assert spaced["data"]["kind"] == "irreducible_quadratic"
+    assert spaced["data"]["kappa"] == kappa_euler(IntPolynomial((-2, 0, 1)), 2000)
 
 
 @pytest.mark.parametrize(
@@ -420,6 +465,7 @@ def _assert_refused_as_flag_dry_run_and_config(capsys, tmp_path, args):
         ("clt", "--n-max", "5", "--poly", "1,0,1,x"),
         ("quadruples", "--poly", "1,0,1", "--n-grid", "1,x"),
         ("curves", "--poly", "1,0,1", "--n-grid", "0,5"),
+        ("quadruples", "--poly", "1,0,1", "--n-grid", "-5,10"),
     ],
 )
 def test_malformed_poly_and_grid_are_usage_errors(capsys, tmp_path, args):
@@ -458,10 +504,7 @@ def test_bad_polynomial_string(capsys):
 
 
 def test_threads_option_is_gone(capsys, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["smooth", "--x", "10", "--y", "2", "--threads", "2"])
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    assert "--threads" in run_refused(capsys, "smooth", "--x", "10", "--y", "2", "--threads", "2")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"x": 10, "y": 2, "threads": 2}))
     code, _, err = run(capsys, "smooth", "--config", str(cfg))
@@ -479,10 +522,7 @@ def test_threads_option_is_gone(capsys, tmp_path):
     ],
 )
 def test_commands_that_draw_nothing_take_no_seed(capsys, tmp_path, monkeypatch, args):
-    with pytest.raises(SystemExit) as exc:
-        main([*args, "--seed", "3", "--dry-run"])
-    assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    assert "--seed" in run_refused(capsys, *args, "--seed", "3", "--dry-run")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 3}))
     code, _, err = run(capsys, *args, "--config", str(cfg))
@@ -605,6 +645,22 @@ def test_output_file(capsys, tmp_path):
     assert code == 0
     assert stdout == ""
     assert json.loads(out.read_text())["data"]["count"] == 77
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("smooth", "--x", "77", "--y", "7", "--output"),
+        ("smooth", "--x", "77", "--y", "7", "--dry-run", "--output"),
+        ("clt", "--poly", "1,0,1", "--n-max", "50", "--trials", "5", "--histogram-csv"),
+        ("fluctuations", "--scales", "2", "--cap", "300", "--trials", "5", "--scale-csv"),
+    ],
+)
+def test_failed_writes_are_usage_errors(capsys, tmp_path, args):
+    # a path in a directory that does not exist cannot be opened
+    path = tmp_path / "missing" / "out"
+    assert str(path) in run_refused(capsys, *args, str(path))
+    assert list(tmp_path.iterdir()) == []
 
 
 _DATA = Path(__file__).parent / "data"
