@@ -8,8 +8,9 @@ byte-identical across reruns with the same config; only the wall-time field
 varies. Table-like subcommands (sieve-dump, quadruples) emit CSV with
 the config echoed in comment lines. Exit codes: 0 success, 2 usage error,
 3 domain error, 4 infeasible scale request; every failure, a refused flag or
-a failed write included, writes one JSON error line to stderr and nothing to
-stdout.
+a failed write included, writes one JSON error line to stderr, nothing to
+stdout and no file: --output and the side files (--histogram-csv and the
+like) are written together, once every path opens.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .curves import exponent_scan, integral_points
 from .errors import DomainError, InfeasibleScaleError
 from .moments import gcd_class_histogram, moment_report
 from .poly import IntPolynomial, classify, fixed_divisor, is_admissible
-from .sieve import kappa_euler, sieve_values, smooth_count
+from .sieve import _MAX_SIEVE_BOUND, kappa_euler, sieve_values, smooth_count
 
 _TOOL = "polyrmf"
 
@@ -49,7 +50,8 @@ class _Opt:
 _SPECS: dict[str, tuple[_Opt, ...]] = {
     "kappa": (
         _Opt("poly", str, required=True, help="coefficients, constant first, e.g. 1,0,1"),
-        _Opt("prime_bound", int, 100_000, minimum=2, help="Euler product truncation"),
+        _Opt("prime_bound", int, 100_000, minimum=2, maximum=_MAX_SIEVE_BOUND,
+             help="Euler product truncation"),
     ),
     "sieve-dump": (
         _Opt("poly", str, required=True),
@@ -75,7 +77,7 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
         _Opt("trials", int, 1000, minimum=1),
         _Opt("model", str, "rademacher", choices=("rademacher", "steinhaus")),
         _Opt("normalization", str, "exact", choices=("exact", "kappa")),
-        _Opt("prime_bound", int, 100_000, minimum=2),
+        _Opt("prime_bound", int, 100_000, minimum=2, maximum=_MAX_SIEVE_BOUND),
         _Opt("histogram_csv", str, help="write the normalized-sum histogram here"),
         _Opt("seed", int, help="root seed (falls back to RCL_SEED, then 0)"),
     ),
@@ -103,7 +105,8 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
         _Opt("seed", int, help="root seed (falls back to RCL_SEED, then 0)"),
     ),
     "smooth": (
-        _Opt("x", int, required=True, minimum=2),
+        # psi(10**8, 1000) took 8.4 s and a 308 MB peak
+        _Opt("x", int, required=True, minimum=2, maximum=10**8),
         _Opt("y", int, required=True, minimum=2),
     ),
 }
@@ -134,8 +137,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 sp.add_argument(flag, action="store_const", const=True, default=None,
                                 help=opt.help)
             else:
-                sp.add_argument(flag, type=opt.type, default=None,
-                                choices=opt.choices, help=opt.help)
+                bound = "" if opt.maximum is None else f"at most {opt.maximum}"
+                sp.add_argument(flag, type=opt.type, default=None, choices=opt.choices,
+                                help=", ".join(t for t in (opt.help, bound) if t))
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file of options; explicit flags override it")
         sp.add_argument("--output", type=str, default=None,
@@ -226,8 +230,12 @@ def _check_clt(cfg: dict, given: set) -> None:
 
 
 def _check_fluctuations(cfg: dict, given: set) -> None:
+    # imported here, as in the runner, so that the other commands skip scipy
+    from .fluctuations import scale_set
+
     if not 0 < cfg["c"] < math.inf:
         raise ValueError(f"--c must be finite and > 0, got {cfg['c']}")
+    scale_set(cfg["base"], cfg["scales"], mode=cfg["mode"], cap=cfg["cap"])
 
 
 # option combinations, checked once the options resolve so that a dry run
@@ -269,10 +277,8 @@ def _csv_header(cfg: dict, extra: dict | None = None) -> list[str]:
     return lines
 
 
-def _write_csv(path: str, cfg: dict, header: str, rows) -> None:
-    lines = _csv_header(cfg) + [header, *rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _csv(cfg: dict, header: str, rows) -> str:
+    return "\n".join(_csv_header(cfg) + [header, *rows]) + "\n"
 
 
 def _run_kappa(cfg: dict):
@@ -286,7 +292,7 @@ def _run_kappa(cfg: dict):
         "prime_bound": cfg["prime_bound"],
         "kappa": value,
     }
-    return data, None
+    return data, None, {}
 
 
 def _run_sieve_dump(cfg: dict):
@@ -300,7 +306,7 @@ def _run_sieve_dump(cfg: dict):
         fs = "*".join(f"{q}^{e}" for q, e in rec.factors)
         lp = "" if rec.largest_prime is None else str(rec.largest_prime)
         rows.append(f"{rec.n},{rec.value},{int(rec.is_squarefree)},{lp},{fs}")
-    return None, "\n".join(rows) + "\n"
+    return None, "\n".join(rows) + "\n", {}
 
 
 def _run_moments(cfg: dict):
@@ -308,6 +314,7 @@ def _run_moments(cfg: dict):
     table = sieve_values(p, cfg["n_max"])
     data = dataclasses.asdict(moment_report(table))
     data["poly"] = str(p)
+    side = {}
     if cfg["gcd_threshold"]:
         hist = gcd_class_histogram(
             table,
@@ -317,9 +324,9 @@ def _run_moments(cfg: dict):
         )
         data["gcd_histogram"] = dataclasses.asdict(hist)
         if cfg["histogram_csv"]:
-            _write_csv(cfg["histogram_csv"], cfg, "gcd,count",
-                       (f"{d},{c}" for d, c in hist.counts))
-    return data, None
+            side[cfg["histogram_csv"]] = _csv(cfg, "gcd,count",
+                                              (f"{d},{c}" for d, c in hist.counts))
+    return data, None, side
 
 
 def _run_quadruples(cfg: dict):
@@ -341,7 +348,7 @@ def _run_quadruples(cfg: dict):
     lines.append("n,fourth_moment,diagonal,off_diagonal,ratio")
     for n, f4, diag, off, ratio in rows:
         lines.append(f"{n},{f4},{diag},{off},{ratio!r}")
-    return None, "\n".join(lines) + "\n"
+    return None, "\n".join(lines) + "\n", {}
 
 
 def _run_clt(cfg: dict):
@@ -357,11 +364,13 @@ def _run_clt(cfg: dict):
         normalization=cfg["normalization"],
         prime_bound=cfg["prime_bound"],
     )
+    side = {}
     if cfg["histogram_csv"]:
         edges, counts = report.hist_edges, report.hist_counts
-        _write_csv(cfg["histogram_csv"], cfg, "bin_left,bin_right,count",
-                   (f"{lo!r},{hi!r},{c}" for lo, hi, c in zip(edges, edges[1:], counts)))
-    return dataclasses.asdict(report), None
+        side[cfg["histogram_csv"]] = _csv(
+            cfg, "bin_left,bin_right,count",
+            (f"{lo!r},{hi!r},{c}" for lo, hi, c in zip(edges, edges[1:], counts)))
+    return dataclasses.asdict(report), None, side
 
 
 def _run_curves(cfg: dict):
@@ -378,9 +387,10 @@ def _run_curves(cfg: dict):
             "truncated": len(shown) < len(pts),
             "points": [[x, y] for x, y in shown],
         }
+        side = {}
         if cfg["points_csv"]:
-            _write_csv(cfg["points_csv"], cfg, "x,y", (f"{x},{y}" for x, y in pts))
-        return data, None
+            side[cfg["points_csv"]] = _csv(cfg, "x,y", (f"{x},{y}" for x, y in pts))
+        return data, None, side
     report = exponent_scan(
         p,
         n_values=_parse_grid(cfg["n_grid"]),
@@ -388,7 +398,7 @@ def _run_curves(cfg: dict):
         seed=cfg["seed"],
         ab_max=cfg["ab_max"],
     )
-    return dataclasses.asdict(report), None
+    return dataclasses.asdict(report), None, {}
 
 
 def _run_fluctuations(cfg: dict):
@@ -401,16 +411,17 @@ def _run_fluctuations(cfg: dict):
     data = dataclasses.asdict(report)
     if cfg["verify"]:
         data["invariants"] = sets.verify_invariants()
+    side = {}
     if cfg["scale_csv"]:
-        _write_csv(
-            cfg["scale_csv"], cfg,
+        side[cfg["scale_csv"]] = _csv(
+            cfg,
             "i,x,set_size,candidate_size,class1_squarefree,beta_exact,beta_hat,sigma_hat",
             (f"{i + 1},{x},{report.sizes[i]},{report.candidate_sizes[i]},"
              f"{report.class1_sf[i]},{report.beta_exact[i]!r},"
              f"{report.beta_hat[i]!r},{report.sigma_hat[i]!r}"
              for i, x in enumerate(report.xs)),
         )
-    return data, None
+    return data, None, side
 
 
 def _run_smooth(cfg: dict):
@@ -422,7 +433,7 @@ def _run_smooth(cfg: dict):
         "proportion": count / cfg["x"],
         "log_ratio": math.log(cfg["x"]) / math.log(cfg["y"]),
     }
-    return data, None
+    return data, None, {}
 
 
 _RUNNERS = {
@@ -437,12 +448,26 @@ _RUNNERS = {
 }
 
 
-def _write_out(text: str, path: str | None) -> None:
-    if path:
+def _write_files(texts: dict[str, str]) -> None:
+    """Writes each text to its path, or none of them when a path cannot be opened.
+
+    Every path is first opened for appending, which changes no file that
+    exists; when one fails, the files that this created are removed again.
+    """
+    created = []
+    try:
+        for path in texts:
+            existed = os.path.exists(path)
+            open(path, "a").close()
+            if not existed:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+    for path, text in texts.items():
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -456,16 +481,21 @@ def main(argv: list[str] | None = None) -> int:
         }
         if args.dry_run:
             envelope["data"] = {"dry_run": True}
+            text, side = None, {}
         else:
             t0 = time.perf_counter()
-            data, text = _RUNNERS[args.command](cfg)
+            data, text, side = _RUNNERS[args.command](cfg)
             wall = time.perf_counter() - t0
             if text is not None:
                 header = _csv_header(cfg, {"wall_time_s": f"{wall:.6f}"})
-                _write_out("\n".join(header) + "\n" + text, args.output)
-                return 0
+                text = "\n".join(header) + "\n" + text
             envelope.update(wall_time_s=round(wall, 6), data=data)
-        _write_out(json.dumps(envelope, indent=2, sort_keys=True) + "\n", args.output)
+        if text is None:
+            text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+        # side files and --output together, or none of them: a failed run writes nothing
+        _write_files({**side, args.output: text} if args.output else side)
+        if not args.output:
+            sys.stdout.write(text)
         return 0
     except (ValueError, OSError) as exc:
         code = (4 if isinstance(exc, InfeasibleScaleError)

@@ -9,6 +9,15 @@ between largest-prime classes pair buckets across classes. All counts here
 are exact integers; no probabilistic hashing is involved. Every pair count
 comes from one chunked scan (_pair_scan), and buckets are keyed by exact
 kernels, counted by one sort and its run lengths.
+
+The fourth moment scans pairs of its core only: what is left of the
+squarefree rows once every row holding a prime that no other remaining row
+holds is dropped, round by round, as in singleton removal in number-field
+sieve filtering. A square quadruple holding a dropped row pairs off in
+values: its first-dropped row r held a prime that no other row of the
+quadruple holds, so r occurs twice or four times and the rest multiply to a
+square; squarefree, they are equal. Hence fourth = diagonal(all) +
+fourth(core) - diagonal(core), with diagonal the value-level 3*Q**2 - 2*F.
 """
 from __future__ import annotations
 
@@ -25,11 +34,12 @@ _INT64_VALUE_LIMIT = 1 << 31
 _PAIR_CHUNK = 1 << 20
 
 
-def _multiplicity_sums(table: ValueTable) -> tuple[int, int, int]:
-    """(Q, 3*Q**2 - 2*F, units): Q and F sum the squares and fourth powers of
-    the squarefree value multiplicities, 3*Q**2 - 2*F counts the value-level
-    diagonal quadruples, and units is the multiplicity of value 1."""
-    u, m = np.unique(table.values[table.is_squarefree], return_counts=True)
+def _multiplicity_sums(vals: np.ndarray) -> tuple[int, int, int]:
+    """(Q, 3*Q**2 - 2*F, units) of squarefree values vals: Q and F sum the
+    squares and fourth powers of the value multiplicities, 3*Q**2 - 2*F
+    counts the value-level diagonal quadruples, and units is the
+    multiplicity of value 1."""
+    u, m = np.unique(vals, return_counts=True)
     q, f = _sum_squares(m), _sum_squares(m, power=4)
     return q, 3 * q * q - 2 * f, int(m[0]) if len(u) and u[0] == 1 else 0
 
@@ -40,7 +50,7 @@ def second_moment_exact(table: ValueTable) -> int:
     This is the exact second moment of the Rademacher partial sum; it equals
     the squarefree count when P is injective on the range.
     """
-    return _multiplicity_sums(table)[0]
+    return _multiplicity_sums(table.values[table.is_squarefree])[0]
 
 
 def _pair_scan(x: np.ndarray, y: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
@@ -108,16 +118,43 @@ def _sum_squares(counts: np.ndarray, power: int = 2) -> int:
     return sum(c**power * k for c, k in zip(u.tolist(), m.tolist()))
 
 
+def _core(table: ValueTable) -> np.ndarray:
+    """Values of the squarefree rows left once every row holding a prime that
+    no other remaining row holds is dropped, round by round.
+
+    Every prime of a core row is held by at least two core rows; rows of
+    value 1 hold no prime and always stay.
+    """
+    rows = np.flatnonzero(table.is_squarefree)
+    starts = table.row_ptr[rows]
+    lengths = table.row_ptr[rows + 1] - starts
+    _, ids = np.unique(table.flat_primes[multi_slice(starts, lengths)], return_inverse=True)
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    held = np.bincount(ids)
+    keep = np.ones(len(rows), dtype=bool)
+    while True:
+        lone = held[ids] == 1
+        if not lone.any():
+            return table.values[rows[keep]]
+        keep[owner[lone]] = False
+        gone = ~keep[owner]
+        held -= np.bincount(ids[gone], minlength=len(held))
+        ids, owner = ids[~gone], owner[~gone]
+
+
 def fourth_moment_exact(table: ValueTable) -> int:
     """Ordered squarefree quadruples (n1..n4) whose value product is a square.
 
-    Equals sum over kernels mu of c_mu**2 with c_mu the ordered-pair count of
-    kernel mu, from the pair scan over i < j and the diagonal (kernel 1).
+    The value-level diagonal of all rows plus the off-diagonal count of the
+    core (module docstring). On the core the count is the sum over kernels mu
+    of c_mu**2, with c_mu the ordered-pair count of kernel mu, from the pair
+    scan over i < j and the diagonal (kernel 1).
     """
-    vals = table.values[table.is_squarefree]
-    i, ones = np.arange(len(vals)), np.ones(len(vals), np.int64)
-    _, counts = _scan_tally(vals, vals, i + 1, len(vals) - i - 1, lambda r, g, k: (k,), (ones,))
-    return _sum_squares(counts)
+    core = _core(table)
+    i, ones = np.arange(len(core)), np.ones(len(core), np.int64)
+    _, counts = _scan_tally(core, core, i + 1, len(core) - i - 1, lambda r, g, k: (k,), (ones,))
+    diagonal = _multiplicity_sums(table.values[table.is_squarefree])[1]
+    return diagonal + _sum_squares(counts) - _multiplicity_sums(core)[1]
 
 
 def mcleish_condition_sums(table: ValueTable) -> tuple[float, float, float]:
@@ -167,12 +204,13 @@ class MomentReport:
 def moment_report(table: ValueTable) -> MomentReport:
     """All exact moment quantities in one pass.
 
-    Includes the fourth moment, whose memory grows with its distinct
-    kernels, up to half the squared squarefree count; ranges up to a few
-    thousand are the practical limit. The condition sums alone scan only
-    pairs inside a class, use mcleish_condition_sums for large ranges.
+    Includes the fourth moment, whose memory grows with the distinct kernels
+    of its core, up to half the squared core size: for x^2 + 1 the core is
+    about a third of the squarefree rows, and N = 2*10^4 peaks past 1 GB.
+    The condition sums alone scan only pairs inside a class, use
+    mcleish_condition_sums for large ranges.
     """
-    q, diagonal, units = _multiplicity_sums(table)
+    q, diagonal, units = _multiplicity_sums(table.values[table.is_squarefree])
     fourth = fourth_moment_exact(table)
     s2, s4, cross = mcleish_condition_sums(table)
     return MomentReport(

@@ -434,6 +434,29 @@ def test_scales_above_maximum_are_usage_errors(capsys, tmp_path):
     assert run_json(capsys, "fluctuations", "--scales", "64", "--dry-run")["config"]["scales"] == 64
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("kappa", "--poly", "1,0,1", "--prime-bound"),
+        ("clt", "--poly", "1,0,1", "--n-max", "10", "--normalization", "kappa",
+         "--prime-bound"),
+        ("smooth", "--y", "5", "--x"),
+    ],
+)
+def test_bounds_above_maximum_are_usage_errors(capsys, tmp_path, args):
+    # refused by flag name, not by numpy failing to allocate the sieve
+    name = args[-1][2:].replace("-", "_")
+    top = next(opt.maximum for opt in _SPECS[args[0]] if opt.name == name)
+    for value in (top + 1, 10**23):
+        refused = (*args, str(value))
+        assert f"must be <= {top}" in _assert_refused_as_flag_dry_run_and_config(
+            capsys, tmp_path, refused)
+    assert run(capsys, *args, str(top), "--dry-run")[0] == 0
+    with pytest.raises(SystemExit):
+        main([args[0], "--help"])
+    assert f"at most {top}" in " ".join(capsys.readouterr().out.split())
+
+
 def _assert_refused_as_flag_dry_run_and_config(capsys, tmp_path, args):
     """The last flag of args, with its value, is a usage error in every way it can be given.
 
@@ -569,6 +592,21 @@ def test_fluctuations_infeasible_schedule(capsys):
     assert json.loads(err)["error"]["type"] == "InfeasibleScaleError"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--mode", "theoretical", "--base", "16", "--scales", "8", "--cap", "1000000"),
+        ("--cap", "0", "--scales", "2", "--trials", "2"),
+    ],
+)
+def test_fluctuations_infeasible_schedule_refused_by_dry_run(capsys, args):
+    # a dry run refuses the schedule that the run refuses, with the same code
+    for extra in ((), ("--dry-run",)):
+        code, out, err = run(capsys, "fluctuations", *args, *extra)
+        assert (code, out) == (4, ""), extra
+        assert json.loads(err)["error"]["type"] == "InfeasibleScaleError"
+
+
 @pytest.mark.parametrize("c_flag, c_json", [("nan", None), ("inf", None), (None, "NaN")])
 def test_fluctuations_non_finite_c_is_usage_error(capsys, tmp_path, c_flag, c_json):
     # argparse takes "nan" and "inf" as floats, and json.load takes NaN; the
@@ -661,6 +699,39 @@ def test_failed_writes_are_usage_errors(capsys, tmp_path, args):
     path = tmp_path / "missing" / "out"
     assert str(path) in run_refused(capsys, *args, str(path))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("clt", "--poly", "1,0,1", "--n-max", "50", "--trials", "5", "--histogram-csv"),
+        ("fluctuations", "--scales", "2", "--cap", "300", "--trials", "5", "--scale-csv"),
+        ("moments", "--poly", "1,0,1", "--n-max", "50", "--gcd-threshold", "2",
+         "--histogram-csv"),
+        ("curves", "--poly", "1,0,1", "--a", "1", "--b", "2", "--n-max", "100",
+         "--points-csv"),
+    ],
+)
+@pytest.mark.parametrize("failing", ["output", "side-file"])
+def test_failed_write_leaves_no_file(capsys, tmp_path, args, failing):
+    # --output and the side file are written together or not at all, in
+    # either order of failure; a file that was there keeps its text
+    bad = str(tmp_path / "missing" / "out")
+    kept = tmp_path / "kept"
+    kept.write_text("before")
+    paths = {"output": str(tmp_path / "out.json"), "side-file": str(tmp_path / "side.csv")}
+    paths[failing] = bad
+    if failing == "output":
+        paths["side-file"] = str(kept)
+    else:
+        paths["output"] = str(kept)
+    assert bad in run_refused(capsys, *args, paths["side-file"], "--output", paths["output"])
+    assert list(tmp_path.iterdir()) == [kept]
+    assert kept.read_text() == "before"
+    # the same run with both paths good writes both
+    good = (str(tmp_path / "side.csv"), "--output", str(tmp_path / "out.json"))
+    assert run(capsys, *args, *good)[:2] == (0, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept", "out.json", "side.csv"]
 
 
 _DATA = Path(__file__).parent / "data"

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from polyrmf.moments import (
     GcdHistogram,
+    _core,
     _pair_scan,
+    _scan_tally,
     fourth_moment_exact,
     gcd_class_histogram,
     mcleish_condition_sums,
@@ -181,6 +183,69 @@ def test_pair_scan_callers_match_brute_force_hypothesis(t):
     got = mcleish_condition_sums(t)
     want = _exhaustive_condition_sums(t)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _pruned_by_rounds(table):
+    """(sorted core values, rounds): squarefree rows holding a prime that no
+    other remaining row holds are dropped, one round at a time, on prime sets."""
+    recs = [r for r in table if r.is_squarefree]
+    alive, rounds = set(range(len(recs))), 0
+    while True:
+        held = Counter(p for i in alive for p, _ in recs[i].factors)
+        drop = {i for i in alive if any(held[p] == 1 for p, _ in recs[i].factors)}
+        if not drop:
+            return sorted(recs[i].value for i in alive), rounds
+        alive -= drop
+        rounds += 1
+
+
+def _square_quadruples(vals):
+    count = 0
+    for quad in product(vals, repeat=4):
+        prod = math.prod(quad)
+        count += math.isqrt(prod) ** 2 == prod
+    return count
+
+
+def test_core_prunes_a_chain_over_several_rounds():
+    # the chain 2-3-5-7-13 hangs off the cycle 13-17-19-13; each round drops
+    # the chain's end, whose lone prime only the row before it held. The
+    # non-squarefree row holds 2 and 3 but keeps no squarefree row alive.
+    chain = [[(2, 1), (3, 1)], [(3, 1), (5, 1)], [(5, 1), (7, 1)], [(7, 1), (13, 1)]]
+    cycle = [[(13, 1), (17, 1)], [(17, 1), (19, 1)], [(13, 1), (19, 1)]]
+    t = _table_of(chain + cycle + [[], [(2, 2), (3, 1)], [(23, 1)]])
+    core, rounds = _pruned_by_rounds(t)
+    assert rounds == 4
+    assert sorted(_core(t).tolist()) == core == [1, 221, 247, 323]
+    vals = t.values[t.is_squarefree].tolist()
+    assert fourth_moment_exact(t) == _square_quadruples(vals)
+    # 1 * 221 * 247 * 323 is a square, so the count is past the diagonal
+    assert moment_report(t).off_diagonal > 0
+
+
+@pytest.mark.parametrize(
+    "coeffs, n",
+    [((1, 0, 1), 1500), ((0, 1, 1), 2000), ((2, 2, 2), 1500), ((1, 1, 0, 1), 1300),
+     ((26, -10, 1), 1500)],
+    ids=["x^2+1", "x(x+1)", "2x^2+2x+2", "x^3+x+1", "(x-5)^2+1"],
+)
+def test_fourth_moment_from_core_matches_unpruned_scan(coeffs, n):
+    # x^3+x+1 passes 2**31 at N = 1300, so its unpruned reference takes exact
+    # kernels while its core stays in int64
+    t = sieve_values(IntPolynomial(coeffs), n)
+    vals = t.values[t.is_squarefree]
+    s = len(vals)
+    i, ones = np.arange(s), np.ones(s, np.int64)
+    _, counts = _scan_tally(vals, vals, i + 1, s - i - 1, lambda r, g, k: (k,), (ones,))
+    assert fourth_moment_exact(t) == sum(c * c for c in counts.tolist())
+    # the core is the fixed point: every prime of a core row is held by at
+    # least two core rows, and it is what pruning round by round leaves
+    core = _core(t).tolist()
+    assert 0 < len(core) < s
+    primes = {r.value: [p for p, _ in r.factors] for r in t if r.is_squarefree}
+    held = Counter(p for v in core for p in primes[v])
+    assert min(held.values()) >= 2
+    assert sorted(core) == _pruned_by_rounds(t)[0]
 
 
 def test_no_relation_table_hits_diagonal_floor():
