@@ -719,13 +719,8 @@ def test_failed_write_leaves_no_file(capsys, tmp_path, args, failing):
     bad = str(tmp_path / "missing" / "out")
     kept = tmp_path / "kept"
     kept.write_text("before")
-    paths = {"output": str(tmp_path / "out.json"), "side-file": str(tmp_path / "side.csv")}
-    paths[failing] = bad
-    if failing == "output":
-        paths["side-file"] = str(kept)
-    else:
-        paths["output"] = str(kept)
-    assert bad in run_refused(capsys, *args, paths["side-file"], "--output", paths["output"])
+    side, output = (str(kept), bad) if failing == "output" else (bad, str(kept))
+    assert bad in run_refused(capsys, *args, side, "--output", output)
     assert list(tmp_path.iterdir()) == [kept]
     assert kept.read_text() == "before"
     # the same run with both paths good writes both
