@@ -5,12 +5,13 @@ on polynomial values is exact Python-integer arithmetic; values evaluates
 whole ranges exactly, in wrapping 64-bit arithmetic (values_int64) when a
 bound on the coefficients proves every value fits int64 and in Python
 integers otherwise. Roots modulo primes come from one algorithm for every
-degree: roots_mod_primes splits P modulo a whole array of primes at once by
-Cantor-Zassenhaus gcds with (x + a)**((p - 1)/2) -+ 1, in int64 arithmetic
-that is exact while (deg P + 1) * p**2 < 2**63 and refused with DomainError
-past it. Roots modulo p**2 are counted, not listed, by Hensel lifting the
-roots modulo p: count_roots_mod_prime_squares counts the simple ones for all
-primes at once and lifts the few singular ones in Python integers. classify
+degree: roots_mod_primes splits the primes in blocks of a fixed size and
+splits P modulo a whole block at once by Cantor-Zassenhaus gcds with
+(x + a)**((p - 1)/2) -+ 1, in int64 arithmetic that is exact while
+(deg P + 1) * p**2 < 2**63 and refused with DomainError past it. Roots
+modulo p**2 are counted, not listed, by Hensel lifting the roots modulo p:
+count_roots_mod_prime_squares counts the simple ones for all primes at once
+and lifts the few singular ones in Python integers. classify
 decides every degree on one path: the rational roots of P are found
 p-adically from the roots modulo a prime, lifted and reconstructed as
 fractions, so no divisor of a coefficient is enumerated.
@@ -388,25 +389,15 @@ def _split_pieces(pieces: dict, found: list) -> None:
         a += 1
 
 
-def roots_mod_primes(P: IntPolynomial, primes) -> tuple[np.ndarray, np.ndarray]:
-    """Every root r of P modulo every prime p in primes, as int64 arrays (ps, rs).
+# primes split together: the splitting scratch of one block is all that
+# roots_mod_primes holds beside the roots it returns
+_PRIME_BLOCK = 1 << 14
 
-    Pairs are sorted by (p, r); a prime dividing every coefficient gives all
-    p residues. All primes are split at once in int64 arithmetic, exact while
-    (deg P + 1) * p**2 < 2**63; past that bound this raises DomainError.
-    """
-    try:
-        q = np.asarray(primes, dtype=np.int64).reshape(-1)
-    except OverflowError:
-        raise DomainError("a prime exceeds int64") from None
-    if len(q) and (P.degree + 1) * int(q.max()) ** 2 >= _INT64_LIMIT:
-        raise DomainError(
-            f"prime {int(q.max())} is too large for exact int64 roots of a degree "
-            f"{P.degree} polynomial: needs (deg + 1) * p**2 < 2**63"
-        )
+
+def _block_roots(P: IntPolynomial, q: np.ndarray, found: list) -> None:
+    """Append to found, as (ps, rs) array pairs, every root of P modulo every q."""
     m = np.column_stack([_mod_primes(c, q) for c in P.coeffs])
     deg = _degrees(m)
-    found = []
     zero = deg < 0
     if zero.any():  # P = 0 mod q: every residue
         qz = q[zero]
@@ -417,6 +408,29 @@ def roots_mod_primes(P: IntPolynomial, primes) -> tuple[np.ndarray, np.ndarray]:
         found.append((q[two][hit], np.full(int(hit.sum()), r, dtype=np.int64)))
     odd = np.nonzero(~zero & ~two)[0]
     _split_pieces(_monic_pieces(m[odd], deg[odd], q[odd], found), found)
+
+
+def roots_mod_primes(P: IntPolynomial, primes) -> tuple[np.ndarray, np.ndarray]:
+    """Every root r of P modulo every prime p in primes, as int64 arrays (ps, rs).
+
+    Pairs are sorted by (p, r); a prime dividing every coefficient gives all
+    p residues. The primes are split in blocks of _PRIME_BLOCK at a time, so
+    the scratch memory stays bounded however many there are, in int64
+    arithmetic, exact while (deg P + 1) * p**2 < 2**63; past that bound this
+    raises DomainError.
+    """
+    try:
+        q = np.asarray(primes, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        raise DomainError("a prime exceeds int64") from None
+    if len(q) and (P.degree + 1) * int(q.max()) ** 2 >= _INT64_LIMIT:
+        raise DomainError(
+            f"prime {int(q.max())} is too large for exact int64 roots of a degree "
+            f"{P.degree} polynomial: needs (deg + 1) * p**2 < 2**63"
+        )
+    found = []
+    for lo in range(0, len(q), _PRIME_BLOCK):
+        _block_roots(P, q[lo : lo + _PRIME_BLOCK], found)
     ps = np.concatenate([p for p, _ in found] + [np.empty(0, np.int64)])
     rs = np.concatenate([r for _, r in found] + [np.empty(0, np.int64)])
     order = np.lexsort((rs, ps))

@@ -2,13 +2,16 @@
 
 sieve_values finds, for every prime p up to sqrt(max value), the arithmetic
 progressions n = r (mod p) on which p divides P(n) (via the root sets of P
-mod p). It strikes them all in one pass over 1..N: one (row, p) hit per
-member of every progression, built with whole-array operations, then exact
-prime powers are divided out of all hits at once, one more power of p per
-pass on the hits whose residual p still divides. Whatever remains is either
-1 or a single prime: a composite leftover would need two prime factors above
-the sieve bound, exceeding the value itself. Factor data is stored columnar
-(flat prime/exponent arrays plus row offsets).
+mod p). It sieves the rows 1..N in segments of fixed length, as a segmented
+sieve of Eratosthenes does (Bays and Hudson, BIT 17, 1977). In each segment
+it strikes every progression with whole-array operations: one (row, p) hit
+per member in the segment, then exact prime powers are divided out of all
+hits at once, one more power of p per pass on the hits whose residual p
+still divides. Whatever remains is either 1 or a single prime: a composite
+leftover would need two prime factors above the sieve bound, exceeding the
+value itself. Factor data is stored columnar (flat prime/exponent arrays
+plus row offsets), written segment by segment into columns sized from the
+known hit count, so the scratch memory stays bounded as N grows.
 """
 from __future__ import annotations
 
@@ -31,6 +34,10 @@ from .poly import (
 # cannot be factored at acceptable cost. Every sieved value stays below
 # (2**27 + 1)**2 < 2**55, so the table built from values is int64.
 _MAX_SIEVE_BOUND = 1 << 27
+
+# rows per sieve segment: the strike scratch of one segment is all that the
+# sieve holds beside the table (2**15 was fastest from 2**12 to 2**20)
+_SEGMENT_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -108,42 +115,58 @@ def multi_slice(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _sieve(P: IntPolynomial, N: int, vals: np.ndarray, ps: np.ndarray,
            rs: np.ndarray) -> ValueTable:
-    residual = vals.copy()
-    # one (row, p) hit for every row n = r (mod p), progression by progression
-    starts = (rs - 1) % ps
-    counts = (N - 1 - starts) // ps + 1
-    primes = np.repeat(ps, counts)
-    rows = np.arange(len(primes), dtype=np.int64)
-    rows -= np.repeat(np.cumsum(counts) - counts, counts)
-    rows *= primes
-    rows += np.repeat(starts, counts)
-    # divide out exact prime powers: p once per hit, then p again on the
-    # hits whose residual it still divides, until none is left
-    np.floor_divide.at(residual, rows, primes)
-    exps = np.ones(len(rows), dtype=np.int16)
-    live = np.nonzero(residual[rows] % primes == 0)[0]
-    while len(live):
-        np.floor_divide.at(residual, rows[live], primes[live])
-        exps[live] += 1
-        live = live[residual[rows[live]] % primes[live] == 0]
-    sf = np.ones(N, dtype=bool)
-    sf[rows[exps > 1]] = False
-    left = np.nonzero(residual > 1)[0]
-    rows = np.concatenate([rows, left])
-    primes = np.concatenate([primes, residual[left]])
-    exps = np.concatenate([exps, np.ones(len(left), dtype=np.int16)])
-    counts = np.bincount(rows, minlength=N)
-    # the stable order by row, from an unstable sort on a unique key
-    rows *= len(rows)
-    rows += np.arange(len(rows))
-    order = np.argsort(rows)
-    primes, exps = primes[order], exps[order]
+    # progression (p, r) holds the rows n = r (mod p); nxt is the 0-based
+    # offset of its next row not yet struck
+    nxt = (rs - 1) % ps
+    # every hit, and at most one leftover prime per row
+    size = int(((N - 1 - nxt) // ps + 1).sum()) + N
+    flat_primes = np.empty(size, dtype=np.int64)
+    flat_exps = np.empty(size, dtype=np.int16)
     row_ptr = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
+    sf = np.ones(N, dtype=bool)
     largest = np.zeros(N, dtype=np.int64)
-    nonempty = row_ptr[1:] > row_ptr[:-1]
-    largest[nonempty] = primes[row_ptr[1:][nonempty] - 1]
-    return ValueTable(P, N, vals, sf, largest, primes, exps, row_ptr)
+    for lo in range(0, N, _SEGMENT_ROWS):
+        hi = min(lo + _SEGMENT_ROWS, N)
+        # one (row, p) hit for every row of the segment on a progression
+        live = np.nonzero(nxt < hi)[0]
+        step, first = ps[live], nxt[live] - lo
+        counts = (hi - lo - 1 - first) // step + 1
+        nxt[live] += counts * step
+        primes = np.repeat(step, counts)
+        rows = np.arange(len(primes), dtype=np.int64)
+        rows -= np.repeat(np.cumsum(counts) - counts, counts)
+        rows *= primes
+        rows += np.repeat(first, counts)
+        # divide out exact prime powers: p once per hit, then p again on the
+        # hits whose residual it still divides, until none is left
+        residual = vals[lo:hi].copy()
+        np.floor_divide.at(residual, rows, primes)
+        exps = np.ones(len(rows), dtype=np.int16)
+        again = np.nonzero(residual[rows] % primes == 0)[0]
+        while len(again):
+            np.floor_divide.at(residual, rows[again], primes[again])
+            exps[again] += 1
+            again = again[residual[rows[again]] % primes[again] == 0]
+        sf[lo + rows[exps > 1]] = False
+        left = np.nonzero(residual > 1)[0]
+        rows = np.concatenate([rows, left])
+        primes = np.concatenate([primes, residual[left]])
+        exps = np.concatenate([exps, np.ones(len(left), dtype=np.int16)])
+        ptr = row_ptr[lo : hi + 1]
+        np.cumsum(np.bincount(rows, minlength=hi - lo), out=ptr[1:])
+        ptr[1:] += ptr[0]
+        # the stable order by row, from an unstable sort on a unique key
+        rows *= len(rows)
+        rows += np.arange(len(rows))
+        order = np.argsort(rows)
+        flat_primes[ptr[0] : ptr[-1]] = primes[order]
+        flat_exps[ptr[0] : ptr[-1]] = exps[order]
+        nonempty = ptr[1:] > ptr[:-1]
+        largest[lo:hi][nonempty] = flat_primes[ptr[1:][nonempty] - 1]
+    # shrink in place: a copy would hold both columns at once
+    flat_primes.resize(row_ptr[-1], refcheck=False)
+    flat_exps.resize(row_ptr[-1], refcheck=False)
+    return ValueTable(P, N, vals, sf, largest, flat_primes, flat_exps, row_ptr)
 
 
 def sieve_values(P: IntPolynomial, N: int) -> ValueTable:
@@ -240,11 +263,22 @@ def largest_prime_stats(table: ValueTable, c: float = 0.01) -> LargestPrimeStats
 
 
 def smooth_count(x: int, y: int) -> int:
-    """psi(x, y): how many n <= x have every prime factor <= y (1 included)."""
+    """psi(x, y): how many n <= x have every prime factor <= y (1 included).
+
+    With r = isqrt(x), an n <= x has at most one prime factor above r. Let A
+    hold the n <= x with a prime factor in (y, r], struck one such prime at a
+    time, and C(t) count the members of A up to t. Any other n that is not
+    y-smooth is p * m for a prime p > max(y, r) and m <= x // p <= r, and
+    p * m lies in A exactly when m does. So psi(x, y) is x - |A| minus the
+    sum of x // p - C(x // p) over the primes p in (max(y, r), x].
+    """
     if x < 2 or y < 2:
         raise ValueError("smooth_count needs x >= 2 and y >= 2")
-    smooth = np.ones(x + 1, dtype=bool)
-    for p in primes_up_to(x):
-        if p > y:
-            smooth[p::p] = False
-    return int(smooth[1:].sum())
+    r = math.isqrt(x)
+    primes = primes_up_to(x)
+    in_a = np.zeros(x + 1, dtype=bool)
+    for p in primes[(primes > y) & (primes <= r)].tolist():
+        in_a[p::p] = True
+    c = np.cumsum(in_a[: r + 1])
+    t = x // primes[primes > max(y, r)]
+    return x - int(np.count_nonzero(in_a) + t.sum() - c[t].sum())

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from polyrmf import poly, sieve
 from polyrmf.errors import DomainError
-from polyrmf.poly import IntPolynomial
+from polyrmf.intmath import primes_up_to
+from polyrmf.poly import IntPolynomial, roots_mod_primes
 from polyrmf.sieve import (
     _MAX_SIEVE_BOUND,
     LargestPrimeStats,
@@ -187,15 +190,16 @@ def test_largest_prime_stats_brute(x2p1):
 
 
 def test_smooth_count_brute():
-    def brute(x, y):
-        count = 0
-        for n in range(1, x + 1):
-            if n == 1 or max(sympy.factorint(n)) <= y:
-                count += 1
-        return count
-
-    for x, y in [(100, 2), (100, 5), (100, 10), (200, 13), (50, 50)]:
-        assert smooth_count(x, y) == brute(x, y)
+    # every case around r = isqrt(x): y below, at and above r, y = 2 and
+    # y = x, for composite and prime x
+    largest = [1, 1] + [max(sympy.factorint(n)) for n in range(2, 1001)]
+    for x in list(range(2, 150)) + [200, 961, 997, 1000]:
+        r = math.isqrt(x)
+        for y in {2, 3, 5, r - 1, r, r + 1, x - 1, x}:
+            if y >= 2:
+                got = smooth_count(x, y)
+                assert type(got) is int
+                assert got == sum(lp <= y for lp in largest[1 : x + 1]), (x, y)
     assert smooth_count(100, 2) == 7
     assert smooth_count(77, 77) == 77
 
@@ -298,3 +302,68 @@ def test_sieve_values_match_factorint_on_a_quartic():
         assert rec.factors == tuple(sorted(ref.items()))
         assert rec.is_squarefree == all(e == 1 for e in ref.values())
         assert rec.largest_prime == max(ref)
+
+
+_TABLE_COLUMNS = ("values", "is_squarefree", "largest", "flat_primes", "flat_exps", "row_ptr")
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    _SIEVE_SHAPES
+    + (
+        (0, 1, 1),  # x(x + 1)
+        (26, -10, 1),  # (x - 5)^2 + 1, which repeats values
+        (2, 0, 0, 1),  # x^3 + 2
+    ),
+)
+def test_tables_do_not_depend_on_segment_or_block_size(coeffs, monkeypatch):
+    # N is a multiple of no segment length, so every build ends on a short
+    # segment; the default build sieves one segment and splits one block
+    P = IntPolynomial(coeffs)
+    N = {2: 1000, 3: 201, 4: 61}[P.degree]
+    ref = sieve_values(P, N)
+    for rows, block in ((1, 16), (7, 3), (64, 1)):
+        monkeypatch.setattr(sieve, "_SEGMENT_ROWS", rows)
+        monkeypatch.setattr(poly, "_PRIME_BLOCK", block)
+        t = sieve_values(P, N)
+        for name in _TABLE_COLUMNS:
+            got, want = getattr(t, name), getattr(ref, name)
+            assert got.dtype == want.dtype, (name, rows, block)
+            assert np.array_equal(got, want), (name, rows, block)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(1, 0, 1), (1, 1, 0, 1), (2, 2, 2), (6, 0, 6), (0, 0, 1, 1), (3, 7, 5, 1)]
+)
+def test_roots_and_kappa_do_not_depend_on_block_size(coeffs, monkeypatch):
+    # 168 primes up to 1000: many blocks of each size
+    P = IntPolynomial(coeffs)
+    primes = primes_up_to(1000)
+    ps, rs = roots_mod_primes(P, primes)
+    kappa = kappa_euler(P, 1000)
+    for block in (1, 3, 16):
+        monkeypatch.setattr(poly, "_PRIME_BLOCK", block)
+        bps, brs = roots_mod_primes(P, primes)
+        assert bps.dtype == brs.dtype == np.int64
+        assert np.array_equal(bps, ps) and np.array_equal(brs, rs)
+        assert kappa_euler(P, 1000).hex() == kappa.hex()
+
+
+def _traced_peak(P, N):
+    """sieve_values(P, N) and the peak of the bytes it allocated on the way."""
+    tracemalloc.start()
+    try:
+        t = sieve_values(P, N)
+        return t, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_building_needs_little_beyond_the_table():
+    # tracemalloc sees numpy's array allocations, so the peaks are exact
+    # and repeatable. x(x + 1) at 2 * 10**5 sieves 7 segments; x^3 + 2 at
+    # 2 * 10**4 splits 205,414 primes in 13 blocks for a 1.2 MB table
+    t, peak = _traced_peak(IntPolynomial((0, 1, 1)), 2 * 10**5)
+    assert peak <= 2 * sum(getattr(t, name).nbytes for name in _TABLE_COLUMNS)
+    _, peak = _traced_peak(IntPolynomial((2, 0, 0, 1)), 2 * 10**4)
+    assert peak < 32 * 10**6
