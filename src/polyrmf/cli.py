@@ -34,6 +34,10 @@ from .sieve import _MAX_SIEVE_BOUND, kappa_euler, sieve_values, smooth_count
 
 _TOOL = "polyrmf"
 
+# largest --n-max, --n-grid entry and fluctuations --cap: sieving x^2 + 1 up
+# to 10**7 took 8.1 s and a 633 MB peak
+_MAX_N = 10**7
+
 
 @dataclasses.dataclass(frozen=True)
 class _Opt:
@@ -55,26 +59,30 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
     ),
     "sieve-dump": (
         _Opt("poly", str, required=True),
-        _Opt("n_max", int, required=True, minimum=1),
+        _Opt("n_max", int, required=True, minimum=1, maximum=_MAX_N),
         _Opt("max_rows", int, 0, minimum=0, help="emit only the first rows (0 = all)"),
     ),
     "moments": (
         _Opt("poly", str, required=True),
-        _Opt("n_max", int, required=True, minimum=1),
+        _Opt("n_max", int, required=True, minimum=1, maximum=_MAX_N),
         _Opt("gcd_threshold", int, 0, minimum=0,
              help="also histogram pair gcds above this (0 = skip)"),
-        _Opt("pairs", int, 0, minimum=0, help="sampled gcd pairs (0 = exhaustive)"),
+        # 10**7 pairs at N = 3000 took 2.0 s and a 430 MB peak
+        _Opt("pairs", int, 0, minimum=0, maximum=10**7,
+             help="sampled gcd pairs (0 = exhaustive)"),
         _Opt("histogram_csv", str, help="write the gcd histogram here"),
         _Opt("seed", int, help="root seed (falls back to RCL_SEED, then 0)"),
     ),
     "quadruples": (
         _Opt("poly", str, required=True),
-        _Opt("n_grid", str, "500,1000,2000,4000", help="comma-separated range cutoffs"),
+        _Opt("n_grid", str, "500,1000,2000,4000",
+             help=f"comma-separated range cutoffs, each at most {_MAX_N}"),
     ),
     "clt": (
         _Opt("poly", str, required=True),
-        _Opt("n_max", int, required=True, minimum=1),
-        _Opt("trials", int, 1000, minimum=1),
+        _Opt("n_max", int, required=True, minimum=1, maximum=_MAX_N),
+        # 10**5 trials at N = 10**4 took 4.9 s and a 69 MB peak
+        _Opt("trials", int, 1000, minimum=1, maximum=10**6),
         _Opt("model", str, "rademacher", choices=("rademacher", "steinhaus")),
         _Opt("normalization", str, "exact", choices=("exact", "kappa")),
         _Opt("prime_bound", int, 100_000, minimum=2, maximum=_MAX_SIEVE_BOUND),
@@ -85,9 +93,10 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
         _Opt("poly", str, required=True),
         _Opt("a", int, minimum=1, help="solve a*P(x) = b*P(y) for this fixed pair"),
         _Opt("b", int, minimum=1),
-        _Opt("n_max", int, minimum=1),
-        _Opt("n_grid", str, help="scan mode: comma-separated cutoffs"),
-        _Opt("ab_samples", int, 100, minimum=1),
+        _Opt("n_max", int, minimum=1, maximum=_MAX_N),
+        _Opt("n_grid", str, help=f"scan mode: comma-separated cutoffs, each at most {_MAX_N}"),
+        # 100 samples at --n-grid 1000000 took 2.2 s and a 280 MB peak
+        _Opt("ab_samples", int, 100, minimum=1, maximum=10**4),
         _Opt("ab_max", int, 1000, minimum=2),
         _Opt("max_points", int, 1000, minimum=0, help="cap on points listed in the output"),
         _Opt("points_csv", str, help="write the solution points here"),
@@ -97,9 +106,10 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
         _Opt("base", int, 16, minimum=16),
         _Opt("scales", int, 8, minimum=2, maximum=64, help="number of scales"),
         _Opt("mode", str, "geometric", choices=("theoretical", "geometric")),
-        _Opt("cap", int, 1_000_000),
+        _Opt("cap", int, 1_000_000, maximum=_MAX_N),
         _Opt("c", float, 0.01, help="threshold constant"),
-        _Opt("trials", int, 500, minimum=2),
+        # 2 * 10**4 trials at 64 scales and cap 10**5 took 10.2 s and a 194 MB peak
+        _Opt("trials", int, 500, minimum=2, maximum=10**5),
         _Opt("verify", bool, False, help="recheck set invariants against the table"),
         _Opt("scale_csv", str, help="write the per-scale table here"),
         _Opt("seed", int, help="root seed (falls back to RCL_SEED, then 0)"),
@@ -262,6 +272,8 @@ def _parse_grid(text: str) -> tuple[int, ...]:
         raise ValueError(f"--n-grid {text!r} is not a list of integers") from exc
     if not grid or grid[0] < 1:
         raise ValueError(f"--n-grid entries must be positive, got {text!r}")
+    if grid[-1] > _MAX_N:
+        raise ValueError(f"--n-grid entries must be <= {_MAX_N}, got {grid[-1]}")
     return grid
 
 
@@ -297,12 +309,9 @@ def _run_kappa(cfg: dict):
 
 def _run_sieve_dump(cfg: dict):
     p = _parse_poly(cfg["poly"])
-    table = sieve_values(p, cfg["n_max"])
-    limit = cfg["max_rows"] or table.n_max
+    n = cfg["n_max"]
     rows = ["n,value,is_squarefree,largest_prime,factors"]
-    for rec in table:
-        if rec.n > limit:
-            break
+    for rec in sieve_values(p, n).prefix(min(cfg["max_rows"] or n, n)):
         fs = "*".join(f"{q}^{e}" for q, e in rec.factors)
         lp = "" if rec.largest_prime is None else str(rec.largest_prime)
         rows.append(f"{rec.n},{rec.value},{int(rec.is_squarefree)},{lp},{fs}")
@@ -332,10 +341,10 @@ def _run_moments(cfg: dict):
 def _run_quadruples(cfg: dict):
     p = _parse_poly(cfg["poly"])
     grid = _parse_grid(cfg["n_grid"])
+    table = sieve_values(p, grid[-1])
     rows = []
     for n in grid:
-        table = sieve_values(p, n)
-        rep = moment_report(table)
+        rep = moment_report(table.prefix(n))
         rows.append((n, rep.fourth_moment, rep.diagonal_term, rep.off_diagonal,
                      rep.off_diagonal / n**2))
     pos = [(n, r) for n, _, _, _, r in rows if r > 0]

@@ -181,14 +181,7 @@ def _scale_hits(table: ValueTable, prime_sets) -> tuple[np.ndarray, np.ndarray, 
         label_of[pos[primes[np.minimum(pos, len(primes) - 1)] == prime_sets[i]]] = i
     label = label_of[inverse]
     hit = np.flatnonzero(label >= 0)
-    return hit, _entry_rows(table)[hit], label[hit]
-
-
-def _entry_rows(table: ValueTable) -> np.ndarray:
-    """Cached 0-based row of every factor entry of table."""
-    if "_entry_rows" not in table.__dict__:
-        table._entry_rows = np.repeat(np.arange(table.n_max), np.diff(table.row_ptr))
-    return table._entry_rows
+    return hit, table.entry_rows()[hit], label[hit]
 
 
 def _row_bitmask(rows: np.ndarray, label: np.ndarray, n: int) -> np.ndarray:
@@ -224,7 +217,7 @@ def build_prime_class_sets(scales: ScaleSet, c: float = 0.01) -> PrimeClassSets:
     xs = scales.xs
     table = sieve_values(IntPolynomial(_TARGET_POLY), xs[-1])
     primes, inverse = table.prime_index()
-    rows = _entry_rows(table)
+    rows = table.entry_rows()
     # a prime's first witness n (its first row + 1) lies in one band
     # (x_{i-1}, x_i], which fixes the one scale i whose set it can join
     first_row = np.full(len(primes), table.n_max)
@@ -312,8 +305,8 @@ def three_sum_decomposition(
     k = len(sets.scales.xs)
     if not 1 <= scale_index <= k:
         raise ValueError(f"scale_index must be in [1, {k}]")
-    labels = np.where(sets.labels < 3 * scale_index, sets.labels, -1)
-    sums = trial_sums(sets.table, [seed], RADEMACHER, (labels, 3 * scale_index))
+    x = sets.scales.xs[scale_index - 1]
+    sums = trial_sums(sets.table.prefix(x), [seed], RADEMACHER, (sets.labels[:x], 3 * scale_index))
     return tuple(int(round(float(part[0, -1]))) for part in _class_sums(sums)[:3])
 
 

@@ -21,7 +21,7 @@ def primes_up_to(n: int) -> np.ndarray:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
 
 
 def is_squarefree_int(n: int) -> bool:

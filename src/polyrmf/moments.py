@@ -125,17 +125,15 @@ def _core(table: ValueTable) -> np.ndarray:
     Every prime of a core row is held by at least two core rows; rows of
     value 1 hold no prime and always stay.
     """
-    rows = np.flatnonzero(table.is_squarefree)
-    starts = table.row_ptr[rows]
-    lengths = table.row_ptr[rows + 1] - starts
-    _, ids = np.unique(table.flat_primes[multi_slice(starts, lengths)], return_inverse=True)
-    owner = np.repeat(np.arange(len(rows)), lengths)
-    held = np.bincount(ids)
-    keep = np.ones(len(rows), dtype=bool)
+    primes, ids = table.prime_index()
+    keep = table.is_squarefree.copy()
+    live = keep[table.entry_rows()]
+    ids, owner = ids[live], table.entry_rows()[live]
+    held = np.bincount(ids, minlength=len(primes))
     while True:
         lone = held[ids] == 1
         if not lone.any():
-            return table.values[rows[keep]]
+            return table.values[keep]
         keep[owner[lone]] = False
         gone = ~keep[owner]
         held -= np.bincount(ids[gone], minlength=len(held))

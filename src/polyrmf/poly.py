@@ -413,11 +413,12 @@ def _block_roots(P: IntPolynomial, q: np.ndarray, found: list) -> None:
 def roots_mod_primes(P: IntPolynomial, primes) -> tuple[np.ndarray, np.ndarray]:
     """Every root r of P modulo every prime p in primes, as int64 arrays (ps, rs).
 
-    Pairs are sorted by (p, r); a prime dividing every coefficient gives all
-    p residues. The primes are split in blocks of _PRIME_BLOCK at a time, so
-    the scratch memory stays bounded however many there are, in int64
-    arithmetic, exact while (deg P + 1) * p**2 < 2**63; past that bound this
-    raises DomainError.
+    Pairs are sorted by (p, r), with each distinct prime once; a prime
+    dividing every coefficient gives all p residues. The distinct primes are
+    split, in ascending order, in blocks of _PRIME_BLOCK, and each block's
+    pairs are sorted on their own, so the scratch memory stays bounded
+    however many there are. All arithmetic is in int64, exact while
+    (deg P + 1) * p**2 < 2**63; past that bound this raises DomainError.
     """
     try:
         q = np.asarray(primes, dtype=np.int64).reshape(-1)
@@ -428,13 +429,16 @@ def roots_mod_primes(P: IntPolynomial, primes) -> tuple[np.ndarray, np.ndarray]:
             f"prime {int(q.max())} is too large for exact int64 roots of a degree "
             f"{P.degree} polynomial: needs (deg + 1) * p**2 < 2**63"
         )
-    found = []
+    if (q[1:] <= q[:-1]).any():
+        q = np.unique(q)
+    blocks = [(np.empty(0, np.int64), np.empty(0, np.int64))]
     for lo in range(0, len(q), _PRIME_BLOCK):
+        found = []
         _block_roots(P, q[lo : lo + _PRIME_BLOCK], found)
-    ps = np.concatenate([p for p, _ in found] + [np.empty(0, np.int64)])
-    rs = np.concatenate([r for _, r in found] + [np.empty(0, np.int64)])
-    order = np.lexsort((rs, ps))
-    return ps[order], rs[order]
+        ps, rs = (np.concatenate(col) for col in zip(*found))
+        order = np.lexsort((rs, ps))
+        blocks.append((ps[order], rs[order]))
+    return tuple(np.concatenate(col) for col in zip(*blocks))
 
 
 def _lift_kinds(P: IntPolynomial, ps: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

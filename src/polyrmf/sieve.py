@@ -70,7 +70,7 @@ class ValueTable:
         self.flat_primes = flat_primes
         self.flat_exps = flat_exps
         self.row_ptr = row_ptr
-        self._prime_index = None
+        self._prime_index = self._entry_rows = None
 
     def __len__(self) -> int:
         return self.n_max
@@ -102,6 +102,20 @@ class ValueTable:
             primes, inverse = np.unique(self.flat_primes, return_inverse=True)
             self._prime_index = (primes, inverse.astype(np.int64))
         return self._prime_index
+
+    def entry_rows(self):
+        """The 0-based row of every factor entry, cached beside prime_index."""
+        if self._entry_rows is None:
+            self._entry_rows = np.repeat(np.arange(self.n_max), np.diff(self.row_ptr))
+        return self._entry_rows
+
+    def prefix(self, n: int) -> ValueTable:
+        """The table of rows 1..n: views of this table's columns, with caches of its own."""
+        if not 1 <= n <= self.n_max:
+            raise ValueError(f"prefix length {n} outside 1..{self.n_max}")
+        end = self.row_ptr[n]
+        return ValueTable(self.poly, n, self.values[:n], self.is_squarefree[:n], self.largest[:n],
+                          self.flat_primes[:end], self.flat_exps[:end], self.row_ptr[: n + 1])
 
 
 def multi_slice(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -203,6 +203,12 @@ def test_sieve_dump_max_rows(capsys):
                        "--max-rows", "3")
     body = [l for l in out.splitlines() if not l.startswith("#")]
     assert len(body) == 4
+    # a limit past --n-max prints every row
+    code, out, _ = run(capsys, "sieve-dump", "--poly", "1,0,1", "--n-max", "5",
+                       "--max-rows", "10")
+    body = [l for l in out.splitlines() if not l.startswith("#")]
+    assert code == 0
+    assert [l.split(",")[:2] for l in body[1:]] == [[str(n), str(n * n + 1)] for n in range(1, 6)]
 
 
 def test_quadruples_csv(capsys):
@@ -441,10 +447,21 @@ def test_scales_above_maximum_are_usage_errors(capsys, tmp_path):
         ("clt", "--poly", "1,0,1", "--n-max", "10", "--normalization", "kappa",
          "--prime-bound"),
         ("smooth", "--y", "5", "--x"),
+        # sizes that numpy once failed to allocate, with a traceback and no JSON line
+        ("sieve-dump", "--poly", "1,1", "--n-max"),
+        ("clt", "--poly", "1,0,1", "--n-max", "50", "--trials"),
+        ("fluctuations", "--base", "16", "--scales", "2", "--cap", "100", "--trials"),
+        ("moments", "--poly", "1,0,1", "--n-max", "50", "--gcd-threshold", "1", "--pairs"),
+        # and one that ran on past a minute
+        ("curves", "--poly", "1,0,1", "--n-grid", "10", "--ab-max", "2", "--ab-samples"),
+        ("moments", "--poly", "1,0,1", "--n-max"),
+        ("clt", "--poly", "1,0,1", "--n-max"),
+        ("curves", "--poly", "1,0,1", "--a", "1", "--b", "2", "--n-max"),
+        ("fluctuations", "--cap"),
     ],
 )
 def test_bounds_above_maximum_are_usage_errors(capsys, tmp_path, args):
-    # refused by flag name, not by numpy failing to allocate the sieve
+    # refused by flag name, not by numpy failing to allocate
     name = args[-1][2:].replace("-", "_")
     top = next(opt.maximum for opt in _SPECS[args[0]] if opt.name == name)
     for value in (top + 1, 10**23):
@@ -489,6 +506,8 @@ def _assert_refused_as_flag_dry_run_and_config(capsys, tmp_path, args):
         ("quadruples", "--poly", "1,0,1", "--n-grid", "1,x"),
         ("curves", "--poly", "1,0,1", "--n-grid", "0,5"),
         ("quadruples", "--poly", "1,0,1", "--n-grid", "-5,10"),
+        ("quadruples", "--poly", "1,0,1", "--n-grid", "5,10000001"),
+        ("curves", "--poly", "1,0,1", "--n-grid", "10000001"),
     ],
 )
 def test_malformed_poly_and_grid_are_usage_errors(capsys, tmp_path, args):

@@ -15,6 +15,7 @@ def test_primes_up_to_matches_sympy():
 def test_primes_up_to_small_edges():
     assert primes_up_to(1).tolist() == []
     assert primes_up_to(2).tolist() == [2]
+    assert primes_up_to(1).dtype == primes_up_to(30).dtype == np.int64
 
 
 def _constructed_cases():

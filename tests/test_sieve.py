@@ -237,6 +237,8 @@ def test_prime_index_consistency(x2p1):
     primes, inverse = t.prime_index()
     assert np.array_equal(primes[inverse], t.flat_primes)
     assert np.array_equal(primes, np.unique(t.flat_primes))
+    entries = np.arange(len(t.flat_primes))
+    assert np.array_equal(t.entry_rows(), np.searchsorted(t.row_ptr, entries, side="right") - 1)
 
 
 # named shapes the random draw rarely hits: a content prime (roots_mod_primes
@@ -333,6 +335,40 @@ def test_tables_do_not_depend_on_segment_or_block_size(coeffs, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "coeffs, N",
+    [
+        ((1, 0, 1), 10**5),  # x^2 + 1
+        ((26, -10, 1), 2 * 10**4),  # (x - 5)^2 + 1, which repeats values
+        ((0, 1, 1), 2 * 10**4),  # x(x + 1)
+        ((0, 1), 2 * 10**4),  # x, whose first row is the unit
+        ((2, 0, 0, 1), 3000),  # x^3 + 2
+    ],
+)
+def test_prefix_is_the_table_of_the_shorter_range(coeffs, N):
+    P = IntPolynomial(coeffs)
+    big = sieve_values(P, N)
+    for n in sorted({m for m in (1, 2, 999, 3000, N // 2, N) if m <= N}):
+        pre, fresh = big.prefix(n), sieve_values(P, n)
+        assert pre.poly == P and pre.n_max == len(pre) == n
+        for name in _TABLE_COLUMNS:
+            got, want = getattr(pre, name), getattr(fresh, name)
+            assert got.dtype == want.dtype, (name, n)
+            assert np.array_equal(got, want), (name, n)
+            assert np.shares_memory(got, getattr(big, name)) or got.size == 0, (name, n)
+        # the indexes built from the columns: a prefix builds its own
+        for got, want in zip(pre.prime_index(), fresh.prime_index()):
+            assert np.array_equal(got, want)
+        assert np.array_equal(pre.entry_rows(), fresh.entry_rows())
+        assert big._prime_index is None and big._entry_rows is None
+    big.prime_index(), big.entry_rows()
+    pre = big.prefix(N)
+    assert pre._prime_index is None and pre._entry_rows is None
+    for n in (0, N + 1):
+        with pytest.raises(ValueError):
+            big.prefix(n)
+
+
+@pytest.mark.parametrize(
     "coeffs", [(1, 0, 1), (1, 1, 0, 1), (2, 2, 2), (6, 0, 6), (0, 0, 1, 1), (3, 7, 5, 1)]
 )
 def test_roots_and_kappa_do_not_depend_on_block_size(coeffs, monkeypatch):
@@ -347,6 +383,9 @@ def test_roots_and_kappa_do_not_depend_on_block_size(coeffs, monkeypatch):
         assert bps.dtype == brs.dtype == np.int64
         assert np.array_equal(bps, ps) and np.array_equal(brs, rs)
         assert kappa_euler(P, 1000).hex() == kappa.hex()
+    # the primes in any order, repeats included, give the same pairs
+    shuffled = np.concatenate([primes[::-1], primes[:5]])
+    assert all(np.array_equal(a, b) for a, b in zip(roots_mod_primes(P, shuffled), (ps, rs)))
 
 
 def _traced_peak(P, N):
