@@ -71,7 +71,7 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
         _Opt("pairs", int, 0, minimum=0, maximum=10**7,
              help="sampled gcd pairs (0 = exhaustive)"),
         _Opt("histogram_csv", str, help="write the gcd histogram here"),
-        _Opt("seed", int, help="root seed (falls back to RCL_SEED, then 0)"),
+        _Opt("seed", int, minimum=0, help="root seed (falls back to RCL_SEED, then 0)"),
     ),
     "quadruples": (
         _Opt("poly", str, required=True),
@@ -87,7 +87,7 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
         _Opt("normalization", str, "exact", choices=("exact", "kappa")),
         _Opt("prime_bound", int, 100_000, minimum=2, maximum=_MAX_SIEVE_BOUND),
         _Opt("histogram_csv", str, help="write the normalized-sum histogram here"),
-        _Opt("seed", int, help="root seed (falls back to RCL_SEED, then 0)"),
+        _Opt("seed", int, minimum=0, help="root seed (falls back to RCL_SEED, then 0)"),
     ),
     "curves": (
         _Opt("poly", str, required=True),
@@ -97,10 +97,11 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
         _Opt("n_grid", str, help=f"scan mode: comma-separated cutoffs, each at most {_MAX_N}"),
         # 100 samples at --n-grid 1000000 took 2.2 s and a 280 MB peak
         _Opt("ab_samples", int, 100, minimum=1, maximum=10**4),
-        _Opt("ab_max", int, 1000, minimum=2),
+        # pairs are drawn as int64
+        _Opt("ab_max", int, 1000, minimum=2, maximum=2**63 - 1),
         _Opt("max_points", int, 1000, minimum=0, help="cap on points listed in the output"),
         _Opt("points_csv", str, help="write the solution points here"),
-        _Opt("seed", int, help="root seed (falls back to RCL_SEED, then 0)"),
+        _Opt("seed", int, minimum=0, help="root seed (falls back to RCL_SEED, then 0)"),
     ),
     "fluctuations": (
         _Opt("base", int, 16, minimum=16),
@@ -112,7 +113,7 @@ _SPECS: dict[str, tuple[_Opt, ...]] = {
         _Opt("trials", int, 500, minimum=2, maximum=10**5),
         _Opt("verify", bool, False, help="recheck set invariants against the table"),
         _Opt("scale_csv", str, help="write the per-scale table here"),
-        _Opt("seed", int, help="root seed (falls back to RCL_SEED, then 0)"),
+        _Opt("seed", int, minimum=0, help="root seed (falls back to RCL_SEED, then 0)"),
     ),
     "smooth": (
         # psi(10**8, 1000) took 2.6 s and a 263 MB peak
@@ -201,7 +202,13 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             _PARSERS[opt.name](v)
         cfg[opt.name] = v
     if "seed" in cfg and cfg["seed"] is None:
-        cfg["seed"] = int(os.environ.get("RCL_SEED", "0"))
+        raw = os.environ.get("RCL_SEED", "0")
+        try:
+            cfg["seed"] = int(raw)
+        except ValueError:
+            raise ValueError(f"RCL_SEED must be an integer, got {raw!r}") from None
+        if cfg["seed"] < 0:
+            raise ValueError(f"RCL_SEED must be >= 0, got {cfg['seed']}")
     if args.command in _CHECKS:
         _CHECKS[args.command](cfg, given)
     return cfg

@@ -8,7 +8,7 @@ squared kernel-bucket counts over all ordered value pairs, and cross moments
 between largest-prime classes pair buckets across classes. All counts here
 are exact integers; no probabilistic hashing is involved. Every pair count
 comes from one chunked scan (_pair_scan), and buckets are keyed by exact
-kernels, counted by one sort and its run lengths.
+int64 kernel keys, counted by one sort and its run lengths.
 
 The fourth moment scans pairs of its core only: what is left of the
 squarefree rows once every row holding a prime that no other remaining row
@@ -28,10 +28,10 @@ import numpy as np
 from .errors import DomainError
 from .sieve import ValueTable, multi_slice
 
-# integer kernels of int64 value pairs stay within int64 below this
-_INT64_VALUE_LIMIT = 1 << 31
 # pairs handed to numpy at once by the pair scan
 _PAIR_CHUNK = 1 << 20
+# kernels below this are their own int64 keys; each wider one is keyed past it
+_WIDE = 1 << 62
 
 
 def _multiplicity_sums(vals: np.ndarray) -> tuple[int, int, int]:
@@ -57,11 +57,11 @@ def _pair_scan(x: np.ndarray, y: np.ndarray, starts: np.ndarray, lengths: np.nda
     """Yield (rows, g, kernel) for chunks of whole rows of about _PAIR_CHUNK pairs.
 
     Row i of x meets y[starts[i] : starts[i] + lengths[i]]; rows is the x row
-    of each pair, g = gcd(a, b), and the kernel (a/g)*(b/g) is int64 while
-    every value is below _INT64_VALUE_LIMIT and exact Python ints past it.
+    of each pair, g = gcd(a, b), and kernel() gives int64 keys of the kernels
+    (a/g)*(b/g), equal exactly when the kernels are (_kernel_keys).
     An empty scan yields one empty chunk, so every tally has its columns.
     """
-    exact = max(x.max(initial=0), y.max(initial=0)) >= _INT64_VALUE_LIMIT
+    wide: dict[int, int] = {}
     marks = np.arange(_PAIR_CHUNK, int(lengths.sum()), _PAIR_CHUNK)
     bounds = [0, *np.unique(np.searchsorted(np.cumsum(lengths), marks)).tolist(), len(x)]
     for lo, hi in zip(bounds, bounds[1:]):
@@ -70,9 +70,19 @@ def _pair_scan(x: np.ndarray, y: np.ndarray, starts: np.ndarray, lengths: np.nda
         b = y[multi_slice(starts[lo:hi], lengths[lo:hi])]
         g = np.gcd(a, b)
         a, b = a // g, b // g
-        if exact:
-            a, b = a.astype(object), b.astype(object)
-        yield rows, g, a * b
+        yield rows, g, lambda a=a, b=b: _kernel_keys(a, b, wide)
+
+
+def _kernel_keys(a: np.ndarray, b: np.ndarray, wide: dict[int, int]) -> np.ndarray:
+    """int64 keys of the kernels a*b: a kernel below _WIDE is its own key, a
+    wider one _WIDE plus its index in wide, the scan's distinct wide kernels."""
+    keys = a * b
+    if int(a.max(initial=0)) * int(b.max(initial=0)) >= _WIDE:
+        # a float64 product below _WIDE / 2 proves the exact one below _WIDE
+        at = np.flatnonzero(a.astype(np.float64) * b >= _WIDE / 2)
+        kernels = [p * q for p, q in zip(a[at].tolist(), b[at].tolist())]
+        keys[at] = [k if k < _WIDE else _WIDE + wide.setdefault(k, len(wide)) for k in kernels]
+    return keys
 
 
 def _tally(keys: tuple[np.ndarray, ...], weights: np.ndarray | None = None):
@@ -150,7 +160,7 @@ def fourth_moment_exact(table: ValueTable) -> int:
     """
     core = _core(table)
     i, ones = np.arange(len(core)), np.ones(len(core), np.int64)
-    _, counts = _scan_tally(core, core, i + 1, len(core) - i - 1, lambda r, g, k: (k,), (ones,))
+    _, counts = _scan_tally(core, core, i + 1, len(core) - i - 1, lambda r, g, k: (k(),), (ones,))
     diagonal = _multiplicity_sums(table.values[table.is_squarefree])[1]
     return diagonal + _sum_squares(counts) - _multiplicity_sums(core)[1]
 
@@ -175,7 +185,7 @@ def mcleish_condition_sums(table: ValueTable) -> tuple[float, float, float]:
     # ordered pairs inside each class, by (class, kernel)
     i, ends = np.arange(s), np.searchsorted(cls, cls, side="right")
     (_, kernels), local = _scan_tally(
-        vals, vals, i + 1, ends - i - 1, lambda r, g, k: (cls[r], k), (cls, np.ones(s, np.int64))
+        vals, vals, i + 1, ends - i - 1, lambda r, g, k: (cls[r], k()), (cls, np.ones(s, np.int64))
     )
     # t1 by kernel, kernel 1 first: it holds every diagonal pair
     _, t1 = _tally((kernels,), local)

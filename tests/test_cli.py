@@ -428,6 +428,12 @@ def test_config_file_types_accepted(capsys, tmp_path):
         ("curves", "--poly", "1,0,1", "--b", "2", "--n-max", "10", "--a", "0"),
         ("curves", "--poly", "1,0,1", "--a", "1", "--n-max", "10", "--b", "-3"),
         ("curves", "--poly", "1,0,1", "--a", "1", "--b", "2", "--n-max", "0"),
+        # numpy refuses a negative seed, without naming the flag
+        ("moments", "--poly", "1,0,1", "--n-max", "30", "--gcd-threshold", "5",
+         "--pairs", "10", "--seed", "-1"),
+        ("clt", "--poly", "1,0,1", "--n-max", "100", "--seed", "-1"),
+        ("curves", "--poly", "1,0,1", "--n-grid", "50", "--seed", "-1"),
+        ("fluctuations", "--seed", "-2"),
     ],
 )
 def test_counts_below_minimum_are_usage_errors(capsys, tmp_path, args):
@@ -458,6 +464,8 @@ def test_scales_above_maximum_are_usage_errors(capsys, tmp_path):
         ("clt", "--poly", "1,0,1", "--n-max"),
         ("curves", "--poly", "1,0,1", "--a", "1", "--b", "2", "--n-max"),
         ("fluctuations", "--cap"),
+        # numpy draws the pairs as int64
+        ("curves", "--poly", "1,0,1", "--n-grid", "10", "--ab-max"),
     ],
 )
 def test_bounds_above_maximum_are_usage_errors(capsys, tmp_path, args):
@@ -532,6 +540,22 @@ def test_seed_env_fallback(capsys, monkeypatch):
     # the fallback is no explicit --seed, so moments without --pairs takes it
     env = run_json(capsys, "moments", "--poly", "1,0,1", "--n-max", "50", "--dry-run")
     assert env["config"]["seed"] == 42
+
+
+@pytest.mark.parametrize("extra", [(), ("--dry-run",)], ids=["run", "dry-run"])
+@pytest.mark.parametrize(
+    "raw, message",
+    [("-3", "RCL_SEED must be >= 0, got -3"), ("abc", "RCL_SEED must be an integer, got 'abc'")],
+)
+def test_bad_seed_env_is_a_usage_error(capsys, monkeypatch, raw, message, extra):
+    monkeypatch.setenv("RCL_SEED", raw)
+    for args in [
+        ("moments", "--poly", "1,0,1", "--n-max", "30", "--gcd-threshold", "5", "--pairs", "10"),
+        ("curves", "--poly", "1,0,1", "--n-grid", "50"),
+    ]:
+        assert run_refused(capsys, *args, *extra) == message
+        # an explicit seed leaves the variable unread
+        assert run(capsys, *args, "--seed", "1", *extra)[0] == 0
 
 
 def test_missing_required_option(capsys):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyrmf import moments
 from polyrmf.moments import (
     GcdHistogram,
     _core,
+    _kernel_keys,
     _pair_scan,
     _scan_tally,
     fourth_moment_exact,
@@ -25,13 +27,13 @@ from oracles import table_from_records
 
 def test_kernel_identity_against_gcd():
     # the pair scan's kernel (a/d)(b/d), d = gcd(a, b), is the product of the
-    # primes dividing exactly one of a and b
+    # primes dividing exactly one of a and b; below 2**62 it is its own key
     rng = np.random.default_rng(2)
     squarefree = [n for n in range(1, 400) if all(
         e == 1 for e in Counter(_factor(n)).values())]
     a, b = rng.choice(squarefree, size=(2, 200))
-    (rows, g, kernels), = _pair_scan(a, b, np.arange(200), np.ones(200, np.int64))
-    for i, d, k in zip(rows.tolist(), g.tolist(), kernels.tolist()):
+    (rows, g, kernel), = _pair_scan(a, b, np.arange(200), np.ones(200, np.int64))
+    for i, d, k in zip(rows.tolist(), g.tolist(), kernel().tolist()):
         x, y = int(a[i]), int(b[i])
         assert d == math.gcd(x, y)
         assert k == math.prod(set(_factor(x)) ^ set(_factor(y)))
@@ -92,7 +94,7 @@ def test_fourth_moment_brute_force():
 
 
 # small primes and primes near 10**5: a product of two large ones passes
-# 2**31, and a kernel of four large ones passes int64
+# 2**31, and a kernel of four large ones passes 2**62, so it takes a wide key
 _SMALL = (2, 3, 5, 7, 11, 13)
 _LARGE = (99901, 99923, 99961, 99971, 99989, 99991)
 
@@ -131,17 +133,77 @@ def test_fourth_moment_kernels_past_int64_match_prime_set_oracle():
 
 
 def _assert_scan_exact(t):
-    """_pair_scan over all ordered pairs gives each pair's row, gcd and kernel exactly."""
+    """_pair_scan over all ordered pairs gives each pair's row and gcd exactly,
+    and a key that names its kernel (_assert_keys_name_kernels)."""
     vals = t.values[t.is_squarefree]
     s = len(vals)
-    chunks = _pair_scan(vals, vals, np.zeros(s, np.int64), np.full(s, s))
-    scanned = [(r, g, k) for c in chunks for r, g, k in zip(*(a.tolist() for a in c))]
+    scanned = []
+    for rows, g, kernel in _pair_scan(vals, vals, np.zeros(s, np.int64), np.full(s, s)):
+        keys = kernel()
+        assert keys.dtype == np.int64
+        scanned += zip(rows.tolist(), g.tolist(), keys.tolist())
     want = []
     for i, a in enumerate(vals.tolist()):
         for b in vals.tolist():
             g = math.gcd(a, b)
             want.append((i, g, a * b // g**2))
-    assert scanned == want
+    assert [(i, g) for i, g, _ in scanned] == [(i, g) for i, g, _ in want]
+    _assert_keys_name_kernels([k for *_, k in scanned], [k for *_, k in want])
+
+
+def _assert_keys_name_kernels(keys, kernels):
+    """Each key is its Python-int kernel below 2**62 and at least 2**62 past
+    it, and two keys are equal exactly when their kernels are."""
+    wide = 1 << 62
+    assert all(k == m if m < wide else k >= wide for k, m in zip(keys, kernels))
+    pairs = set(zip(keys, kernels))
+    assert len(pairs) == len({k for k, _ in pairs}) == len({m for _, m in pairs})
+
+
+def test_kernel_keys_on_both_sides_of_2_62():
+    # kernels 1, 35, 2**62 - 1 (a float64 product of 2**62), 2**62 and 3 * 2**61,
+    # whose max(a) * max(b) is below 2**64, then 2**63, 2**70 twice and 3 * 2**61
+    # again: the second call shares the first's wide kernels
+    calls = [
+        ([1, 5, (1 << 31) + 1, 1 << 31, 3 << 30], [1, 7, (1 << 31) - 1, 1 << 31, 1 << 31]),
+        ([1 << 40, 1 << 40, 1 << 30, 1 << 31], [1 << 23, 1 << 30, 1 << 40, 3 << 30]),
+    ]
+    wide, keys, kernels = {}, [], []
+    for a, b in calls:
+        keys += _kernel_keys(np.array(a), np.array(b), wide).tolist()
+        kernels += [p * q for p, q in zip(a, b)]
+    _assert_keys_name_kernels(keys, kernels)
+    assert sorted(wide) == sorted({m for m in kernels if m >= 1 << 62})
+
+
+def test_wide_kernels_keep_one_key_across_chunks(monkeypatch):
+    # L0*L1*L2*L3 > 2**62 is the kernel of two row pairs inside the class of
+    # L5, each row thrice; chunks of a few pairs hold one row each
+    L0, L1, L2, L3, L4, L5 = _LARGE
+    quartet = [[L0, L1, L5], [L2, L3, L5], [L0, L2, L5], [L1, L3, L5]]
+    rows = 3 * quartet + [[2, 3, L5], [5, L4], [2, L4], [3, 5], [7], []]
+    t = _table_of([[(p, 1) for p in r] for r in rows])
+    vals = t.values[t.is_squarefree]
+    s = len(vals)
+
+    def scanned():
+        return (fourth_moment_exact(t), mcleish_condition_sums(t),
+                gcd_class_histogram(t, threshold=1))
+
+    default = scanned()
+    monkeypatch.setattr(moments, "_PAIR_CHUNK", 3)
+    chunks = [set(kernel().tolist()) for _, _, kernel in
+              _pair_scan(vals, vals, np.zeros(s, np.int64), np.full(s, s))]
+    assert len(chunks) >= s
+    spread = Counter(k for c in chunks for k in c if k >= 1 << 62)
+    assert max(spread.values()) > 1
+    assert scanned() == default
+    _assert_scan_exact(t)
+    sets = [frozenset(r) for r in rows]
+    assert default[0] == sum(c * c for c in Counter(a ^ b for a in sets for b in sets).values())
+    assert default[1] == pytest.approx(_exhaustive_condition_sums(t), rel=1e-12)
+    brute = Counter(math.gcd(a, b) for a in vals.tolist() for b in vals.tolist())
+    assert dict(default[2].counts) == dict(brute)
 
 
 @st.composite
@@ -230,13 +292,13 @@ def test_core_prunes_a_chain_over_several_rounds():
     ids=["x^2+1", "x(x+1)", "2x^2+2x+2", "x^3+x+1", "(x-5)^2+1"],
 )
 def test_fourth_moment_from_core_matches_unpruned_scan(coeffs, n):
-    # x^3+x+1 passes 2**31 at N = 1300, so its unpruned reference takes exact
-    # kernels while its core stays in int64
+    # x^3+x+1 passes 2**31 at N = 1300: its unpruned reference meets 75 pairs
+    # with kernels past 2**62, its core none
     t = sieve_values(IntPolynomial(coeffs), n)
     vals = t.values[t.is_squarefree]
     s = len(vals)
     i, ones = np.arange(s), np.ones(s, np.int64)
-    _, counts = _scan_tally(vals, vals, i + 1, s - i - 1, lambda r, g, k: (k,), (ones,))
+    _, counts = _scan_tally(vals, vals, i + 1, s - i - 1, lambda r, g, k: (k(),), (ones,))
     assert fourth_moment_exact(t) == sum(c * c for c in counts.tolist())
     # the core is the fixed point: every prime of a core row is held by at
     # least two core rows, and it is what pruning round by round leaves
