@@ -6,6 +6,11 @@ P(y) = a'k for one integer k. So the exact values P(1..N) give one key per
 admissible x and one per admissible y, and an equal-key join over the sorted
 y-keys lists every point. Keys never exceed |P|, and every reported point is
 verified by an exact integer identity.
+
+Admissible x are found by residue class: P(x + d) = P(x) (mod d) for integer
+P, so d | P(x) depends on x mod d alone. The first d values give the residues
+r with d | P(r), each a progression of step d, and a pair costs
+O(d + N*rho(d)/d) rather than O(N), rho(d) counting those residues.
 """
 from __future__ import annotations
 
@@ -30,17 +35,26 @@ def integral_points(
         raise ValueError("coefficients a and b must be positive integers")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return _points(values(P, 1, n_max + 1), a, b)
+    px, py = _points(values(P, 1, n_max + 1), a, b)
+    return list(zip(px.tolist(), py.tolist()))
 
 
-def _points(vals: np.ndarray, a: int, b: int) -> list[tuple[int, int]]:
-    """All (x, y) with a*vals[x-1] == b*vals[y-1], sorted, for exact values vals."""
+def _divisible(vals: np.ndarray, d: int) -> np.ndarray:
+    """Ascending 0-based i with d | vals[i], where vals[i] = P(i + 1): i does
+    exactly when i mod d does, so each residue from vals[:d] is a progression."""
+    if d >= len(vals):
+        return np.flatnonzero(vals % d == 0)
+    idx = (np.arange(0, len(vals), d)[:, None] + np.flatnonzero(vals[:d] % d == 0)).ravel()
+    return idx[idx < len(vals)]
+
+
+def _points(vals: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """1-based arrays (px, py) of all (x, y) with a*vals[x-1] == b*vals[y-1], sorted."""
     g = math.gcd(a, b)
     a1, b1 = a // g, b // g  # b1 | P(x), a1 | P(y) and P(x)/b1 == P(y)/a1
     if max(a1, b1) >= 1 << 63:  # divide in Python ints
         vals = vals.astype(object)
-    xs = np.flatnonzero(vals % b1 == 0)
-    ys = np.flatnonzero(vals % a1 == 0)
+    xs, ys = _divisible(vals, b1), _divisible(vals, a1)
     x_keys = vals[xs] // b1
     y_keys = vals[ys] // a1
     order = np.argsort(y_keys, kind="stable")  # ys stay ascending within a key
@@ -52,7 +66,7 @@ def _points(vals: np.ndarray, a: int, b: int) -> list[tuple[int, int]]:
     u, w = vals[px], vals[py]
     if not ((u % b1 == 0) & (w % a1 == 0) & (u // b1 == w // a1)).all():
         raise RuntimeError(f"a joined point fails a*P(x) == b*P(y) for (a, b) = ({a}, {b})")
-    return list(zip((px + 1).tolist(), (py + 1).tolist()))
+    return px + 1, py + 1
 
 
 @dataclass(frozen=True)
@@ -101,13 +115,14 @@ def exponent_scan(
     # search in the sorted maxima
     vals = values(P, 1, ns[-1] + 1)
     solved = [_points(vals, a, b) for a, b in pairs + [(1, 1)]]
-    *reach, diag_reach = [np.sort([max(pt) for pt in pts]) for pts in solved]
+    *reach, diag_reach = [np.sort(np.maximum(px, py)) for px, py in solved]
     by_pair = [np.searchsorted(r, ns, side="right").tolist() for r in reach]
     counts_by_n = [tuple(c) for c in zip(*by_pair)]
     diag = np.searchsorted(diag_reach, ns, side="right").tolist()
     last = counts_by_n[-1]
     top_idx = sorted(range(len(pairs)), key=lambda i: -last[i])[:5]
-    examples = [(*pairs[i], last[i], tuple(solved[i][:20])) for i in top_idx]
+    examples = [(*pairs[i], last[i], tuple(zip(*(c[:20].tolist() for c in solved[i]))))
+                for i in top_idx]
     return CurveScanReport(
         poly=str(P),
         n_values=ns,

@@ -63,7 +63,8 @@ def _pair_scan(x: np.ndarray, y: np.ndarray, starts: np.ndarray, lengths: np.nda
     """
     wide: dict[int, int] = {}
     marks = np.arange(_PAIR_CHUNK, int(lengths.sum()), _PAIR_CHUNK)
-    bounds = [0, *np.unique(np.searchsorted(np.cumsum(lengths), marks)).tolist(), len(x)]
+    cuts = np.unique(np.searchsorted(np.cumsum(lengths), marks))
+    bounds = [0, *cuts[cuts > 0].tolist(), len(x)]  # a cut at 0 would yield an empty chunk
     for lo, hi in zip(bounds, bounds[1:]):
         rows = np.repeat(np.arange(lo, hi), lengths[lo:hi])
         a = x[rows]

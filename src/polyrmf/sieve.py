@@ -36,7 +36,8 @@ from .poly import (
 _MAX_SIEVE_BOUND = 1 << 27
 
 # rows per sieve segment: the strike scratch of one segment is all that the
-# sieve holds beside the table (2**15 was fastest from 2**12 to 2**20)
+# sieve holds beside the table (2**15 was fastest from 2**12 to 2**20). At
+# most 2**15: _sieve sorts a segment's 0-based rows as int16 keys.
 _SEGMENT_ROWS = 1 << 15
 
 
@@ -169,10 +170,8 @@ def _sieve(P: IntPolynomial, N: int, vals: np.ndarray, ps: np.ndarray,
         ptr = row_ptr[lo : hi + 1]
         np.cumsum(np.bincount(rows, minlength=hi - lo), out=ptr[1:])
         ptr[1:] += ptr[0]
-        # the stable order by row, from an unstable sort on a unique key
-        rows *= len(rows)
-        rows += np.arange(len(rows))
-        order = np.argsort(rows)
+        # the stable order by row: numpy radix-sorts 16-bit keys
+        order = np.argsort(rows.astype(np.int16), kind="stable")
         flat_primes[ptr[0] : ptr[-1]] = primes[order]
         flat_exps[ptr[0] : ptr[-1]] = exps[order]
         nonempty = ptr[1:] > ptr[:-1]

@@ -135,6 +135,10 @@ def test_only_rmf_and_fluctuations_import_scipy_and_cli_reaches_neither():
                 reached.add(module)
                 pending += [n for n in graph[module] if n in graph]
         assert not reached & set(SCIPY_MODULES), (start, sorted(reached))
+    # start-up cost: importing the CLI, the last start, loads no third-party
+    # package but numpy
+    third_party = {n.split(".")[0] for m in reached for n in graph[m]}
+    assert third_party - {"polyrmf"} - sys.stdlib_module_names == {"numpy"}, sorted(reached)
 
 
 _IMPORT_PROBE = """

@@ -3,8 +3,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polyrmf.curves import CurveScanReport, exponent_scan, integral_points
+from polyrmf.curves import CurveScanReport, _divisible, exponent_scan, integral_points
 from polyrmf.poly import IntPolynomial, values
 
 
@@ -51,12 +52,40 @@ def test_completeness_against_quadratic_scan():
         IntPolynomial((3, 2)),
         IntPolynomial((0, 10**400, 1)),  # P' = 2x + 10**400 has no float form
     ]
-    pairs = [(1, 1), (1, 2), (2, 1), (3, 5), (7, 11), (2, 4), (25, 4)]
+    # (151, 2) divides the y-values by 151 > n, which tests every value
+    pairs = [(1, 1), (1, 2), (2, 1), (3, 5), (7, 11), (2, 4), (25, 4), (151, 2)]
     n = 150
     for poly in polys:
         vals = [poly.eval(x) for x in range(1, n + 1)]
         for a, b in pairs:
             assert integral_points(poly, a, b, n) == _brute(vals, a, b), (poly.coeffs, a, b)
+
+
+@st.composite
+def _divisor_cases(draw):
+    """(P, N, d): P of degree 1-4 with signed coefficients, now and then one
+    past 2**63; N up to 300; d up to 2N, exactly N, or past 2**63."""
+    degree = draw(st.integers(1, 4))
+    coeffs = draw(st.lists(st.integers(-50, 50), min_size=degree + 1, max_size=degree + 1))
+    coeffs[-1] = coeffs[-1] or 1
+    if draw(st.booleans()):
+        coeffs[draw(st.integers(0, degree))] += draw(st.sampled_from((1, -1))) * (2**63 + 5)
+    n = draw(st.integers(1, 300))
+    d = draw(st.one_of(st.integers(1, 2 * n), st.just(n), st.integers(2**63, 2**70)))
+    return IntPolynomial(coeffs), n, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_divisor_cases())
+def test_divisible_matches_testing_every_value(case):
+    # the residue classes from the first d values find exactly the values
+    # that d divides, in ascending order, for int64 and object values alike
+    P, n, d = case
+    vals = values(P, 1, n + 1)
+    if d >= 1 << 63:  # _points divides by such d in Python ints
+        vals = vals.astype(object)
+    want = [i for i, v in enumerate(vals.tolist()) if v % d == 0]
+    assert _divisible(vals, d).tolist() == want
 
 
 def test_big_coefficient_path():

@@ -206,6 +206,28 @@ def test_wide_kernels_keep_one_key_across_chunks(monkeypatch):
     assert dict(default[2].counts) == dict(brute)
 
 
+def test_pair_scan_chunks_are_never_empty(monkeypatch, table_60):
+    # a first row longer than _PAIR_CHUNK puts no cut before it; an empty
+    # scan still yields its one chunk
+    vals = np.arange(2, 20, dtype=np.int64)
+    s = len(vals)
+    (rows, g, kernel), = _pair_scan(vals, vals, np.zeros(s, np.int64), np.full(s, s))
+    whole = rows, g, kernel()
+    default = (fourth_moment_exact(table_60), mcleish_condition_sums(table_60),
+               gcd_class_histogram(table_60, threshold=1))
+    monkeypatch.setattr(moments, "_PAIR_CHUNK", 3)
+    chunks = [(rows, g, kernel()) for rows, g, kernel in
+              _pair_scan(vals, vals, np.zeros(s, np.int64), np.full(s, s))]
+    assert len(chunks) == s and all(len(rows) == s for rows, _, _ in chunks)
+    for got, want in zip(zip(*chunks), whole):
+        assert np.array_equal(np.concatenate(got), want)
+    empty = np.zeros(0, np.int64)
+    (rows, g, kernel), = _pair_scan(empty, empty, empty, empty)
+    assert len(rows) == len(g) == len(kernel()) == 0
+    assert (fourth_moment_exact(table_60), mcleish_condition_sums(table_60),
+            gcd_class_histogram(table_60, threshold=1)) == default
+
+
 @st.composite
 def _prime_pool_tables(draw):
     """Tables over at most 12 primes, with repeats, value 1 and squares."""

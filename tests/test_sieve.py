@@ -334,6 +334,12 @@ def test_tables_do_not_depend_on_segment_or_block_size(coeffs, monkeypatch):
             assert np.array_equal(got, want), (name, rows, block)
 
 
+def test_segment_rows_fit_the_int16_row_keys():
+    # _sieve orders a segment's 0-based rows as int16 keys, which a segment of
+    # more than 2**15 rows would wrap
+    assert 1 <= sieve._SEGMENT_ROWS <= 1 << 15
+
+
 @pytest.mark.parametrize(
     "coeffs, N",
     [
