@@ -22,7 +22,7 @@ _PUBLIC = {
     "curves": ("CurveScanReport", "exponent_scan", "integral_points"),
     "rmf": ("CltReport", "monte_carlo_clt"),
     "fluctuations": ("FluctuationReport", "PrimeClassSets", "ScaleSet", "build_prime_class_sets",
-                     "lil_scan", "scale_set", "three_sum_decomposition"),
+                     "lil_scan", "scale_set"),
 }
 
 __all__ = [name for names in _PUBLIC.values() for name in names] + ["__version__"]

@@ -294,22 +294,6 @@ def _direct_classes_2_3(sets: PrimeClassSets, seeds) -> tuple[np.ndarray, ...]:
     return sums[:, :3 * k], bands[:, :, 0] - sums[:, 5 * k:], bands[:, :, 1]
 
 
-def three_sum_decomposition(
-    seed: int, sets: PrimeClassSets, scale_index: int
-) -> tuple[int, int, int]:
-    """Split the Rademacher partial sum at scale number scale_index (1-based) exactly.
-
-    Returns (single-new-prime rows, other-scale rows, untouched rows) for the
-    trial seed; the three add up to the partial sum over n <= x_i.
-    """
-    k = len(sets.scales.xs)
-    if not 1 <= scale_index <= k:
-        raise ValueError(f"scale_index must be in [1, {k}]")
-    x = sets.scales.xs[scale_index - 1]
-    sums = trial_sums(sets.table.prefix(x), [seed], RADEMACHER, (sets.labels[:x], 3 * scale_index))
-    return tuple(int(round(float(part[0, -1]))) for part in _class_sums(sums)[:3])
-
-
 @dataclass(frozen=True)
 class FluctuationReport:
     """Across-trial statistics of the multi-scale decomposition.

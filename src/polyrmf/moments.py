@@ -10,14 +10,12 @@ are exact integers; no probabilistic hashing is involved. Every pair count
 comes from one chunked scan (_pair_scan), and buckets are keyed by exact
 int64 kernel keys, counted by one sort and its run lengths.
 
-The fourth moment scans pairs of its core only: what is left of the
-squarefree rows once every row holding a prime that no other remaining row
-holds is dropped, round by round, as in singleton removal in number-field
-sieve filtering. A square quadruple holding a dropped row pairs off in
-values: its first-dropped row r held a prime that no other row of the
-quadruple holds, so r occurs twice or four times and the rest multiply to a
-square; squarefree, they are equal. Hence fourth = diagonal(all) +
-fourth(core) - diagonal(core), with diagonal the value-level 3*Q**2 - 2*F.
+The fourth moment scans pairs of its core only (ValueTable.core). A square
+quadruple holding a dropped row pairs off in values: its first-dropped row r
+held a prime that no other row of the quadruple holds, so r occurs twice or
+four times and the rest multiply to a square; squarefree, they are equal.
+Hence fourth = diagonal(all) + fourth(core) - diagonal(core), with diagonal
+the value-level 3*Q**2 - 2*F.
 """
 from __future__ import annotations
 
@@ -129,28 +127,6 @@ def _sum_squares(counts: np.ndarray, power: int = 2) -> int:
     return sum(c**power * k for c, k in zip(u.tolist(), m.tolist()))
 
 
-def _core(table: ValueTable) -> np.ndarray:
-    """Values of the squarefree rows left once every row holding a prime that
-    no other remaining row holds is dropped, round by round.
-
-    Every prime of a core row is held by at least two core rows; rows of
-    value 1 hold no prime and always stay.
-    """
-    primes, ids = table.prime_index()
-    keep = table.is_squarefree.copy()
-    live = keep[table.entry_rows()]
-    ids, owner = ids[live], table.entry_rows()[live]
-    held = np.bincount(ids, minlength=len(primes))
-    while True:
-        lone = held[ids] == 1
-        if not lone.any():
-            return table.values[keep]
-        keep[owner[lone]] = False
-        gone = ~keep[owner]
-        held -= np.bincount(ids[gone], minlength=len(held))
-        ids, owner = ids[~gone], owner[~gone]
-
-
 def fourth_moment_exact(table: ValueTable) -> int:
     """Ordered squarefree quadruples (n1..n4) whose value product is a square.
 
@@ -159,7 +135,7 @@ def fourth_moment_exact(table: ValueTable) -> int:
     of c_mu**2, with c_mu the ordered-pair count of kernel mu, from the pair
     scan over i < j and the diagonal (kernel 1).
     """
-    core = _core(table)
+    core = table.values[table.core()]
     i, ones = np.arange(len(core)), np.ones(len(core), np.int64)
     _, counts = _scan_tally(core, core, i + 1, len(core) - i - 1, lambda r, g, k: (k(),), (ones,))
     diagonal = _multiplicity_sums(table.values[table.is_squarefree])[1]

@@ -71,7 +71,7 @@ class ValueTable:
         self.flat_primes = flat_primes
         self.flat_exps = flat_exps
         self.row_ptr = row_ptr
-        self._prime_index = self._entry_rows = None
+        self._prime_index = self._entry_rows = self._core = None
 
     def __len__(self) -> int:
         return self.n_max
@@ -109,6 +109,42 @@ class ValueTable:
         if self._entry_rows is None:
             self._entry_rows = np.repeat(np.arange(self.n_max), np.diff(self.row_ptr))
         return self._entry_rows
+
+    def core(self):
+        """Boolean mask of the core rows, cached beside prime_index.
+
+        The core is what is left of the squarefree rows once every row holding
+        a prime that no other remaining row holds is dropped, round by round,
+        as in singleton removal in number-field-sieve filtering (Cavallar,
+        ANTS-IV, 2000). Every prime of a core row is held by at least two core
+        rows; rows of value 1 hold no prime and always stay. A prefix peels
+        its own rows: a row its parent keeps may hold a prime lone below n.
+
+        Core lemma: under Rademacher f, the m dropped rows take i.i.d. uniform
+        signs, independent of the core, so the sum of f over the squarefree
+        rows is, in law, the sum over the core plus m i.i.d. signs. Proof:
+        give each dropped row r_k a prime q_k that no row remaining in its
+        round holds. Then q_k is held by r_k and by rows dropped in earlier
+        rounds only, so the q_k are distinct and no core row holds one, and
+        f(r_k) = f(q_k) * g_k with g_k a product over primes outside q_k and
+        the q_j of rows dropped no later than r_k. Fix every sign off the
+        q_k: the map from (f(q_k)) to (f(r_k)) is triangular with unit
+        diagonal, a bijection of {+1, -1}^m. The same holds for any row set
+        in which each row holds a prime no other row of the set holds.
+        """
+        if self._core is None:
+            primes, ids = self.prime_index()
+            keep = self.is_squarefree.copy()
+            live = keep[self.entry_rows()]
+            ids, owner = ids[live], self.entry_rows()[live]
+            held = np.bincount(ids, minlength=len(primes))
+            while (lone := held[ids] == 1).any():
+                keep[owner[lone]] = False
+                gone = ~keep[owner]
+                held -= np.bincount(ids[gone], minlength=len(held))
+                ids, owner = ids[~gone], owner[~gone]
+            self._core = keep
+        return self._core
 
     def prefix(self, n: int) -> ValueTable:
         """The table of rows 1..n: views of this table's columns, with caches of its own."""

@@ -8,6 +8,7 @@ polyrmf.sieve cannot change the oracle with it.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -131,3 +132,48 @@ def roots_mod_scan(coeffs, m: int, candidates=None) -> list[int]:
     for c in reversed(coeffs):
         acc = (acc * x + c % m) % m
     return x[acc == 0].tolist()
+
+
+def pruned_by_rounds(table) -> tuple[list[int], int]:
+    """(ascending n of the core rows, rounds): squarefree rows holding a prime
+    that no other remaining row holds are dropped, one round at a time, on
+    prime sets."""
+    recs = [r for r in table if r.is_squarefree]
+    alive, rounds = {r.n for r in recs}, 0
+    primes = {r.n: {p for p, _ in r.factors} for r in recs}
+    while True:
+        held = Counter(p for n in alive for p in primes[n])
+        drop = {n for n in alive if any(held[p] == 1 for p in primes[n])}
+        if not drop:
+            return sorted(alive), rounds
+        alive -= drop
+        rounds += 1
+
+
+# 2**20 sign patterns of 8 bytes each: a few tens of MB at most
+_MAX_LAW_PRIMES = 20
+
+
+def exact_sum_law(table, rows) -> tuple[dict[int, int], int]:
+    """(counts by value of S, k): the exact law of the Rademacher sum S of f
+    over the table rows selected by rows (a boolean mask or 0-based indices).
+
+    Every one of the 2**k sign patterns of the k primes held by the squarefree
+    selected rows is enumerated once; a row that is not squarefree adds 0. So
+    P(S = s) = counts[s] / 2**k exactly. Refuses k past 20 with ValueError.
+    """
+    recs = [table.record(int(i) + 1) for i in np.arange(table.n_max)[rows]]
+    recs = [r for r in recs if r.is_squarefree]
+    primes = sorted({p for r in recs for p, _ in r.factors})
+    k = len(primes)
+    if k > _MAX_LAW_PRIMES:
+        raise ValueError(f"{k} primes: 2**{k} sign patterns exceed 2**{_MAX_LAW_PRIMES}")
+    bit = {p: 1 << i for i, p in enumerate(primes)}
+    # pattern b sets f(p) = -1 exactly for the primes whose bit b holds
+    patterns = np.arange(1 << k, dtype=np.uint64)
+    s = np.zeros(1 << k, dtype=np.int64)
+    for r in recs:
+        mask = np.uint64(sum(bit[p] for p, _ in r.factors))
+        s += 1 - 2 * (np.bitwise_count(patterns & mask) & 1).astype(np.int64)
+    values, counts = np.unique(s, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist())), k

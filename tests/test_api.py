@@ -57,7 +57,6 @@ PUBLIC = [
     "second_moment_exact",
     "sieve_values",
     "smooth_count",
-    "three_sum_decomposition",
 ]
 
 

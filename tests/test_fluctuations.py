@@ -14,11 +14,10 @@ from polyrmf.fluctuations import (
     build_prime_class_sets,
     lil_scan,
     scale_set,
-    three_sum_decomposition,
 )
 from polyrmf.rmf import derive_seeds, trial_sums
 
-from oracles import f_value
+from oracles import RADEMACHER, f_value
 
 
 def test_theoretical_schedule_pins():
@@ -304,21 +303,20 @@ def test_build_validation():
 
 
 def test_three_sum_is_exact_partition():
+    # classes 1, 2 and 3 of every scale from one trial's band sums, against
+    # the brute-force classes summed one f_value at a time
     scales = scale_set(16, 4, GEOMETRIC, cap=600)
     sets = build_prime_class_sets(scales, c=0.05)
     t = sets.table
     _, _, classes = _brute_sets(scales.xs, 0.05, 600)
     for seed in (0, 5, 11):
         f = [f_value(seed, t.record(n)) for n in range(1, 601)]
-        for i, x in enumerate(scales.xs, start=1):
-            parts = three_sum_decomposition(seed, sets, i)
-            assert all(type(part) is int for part in parts)
-            assert parts == tuple(sum(f[r] for r in rows) for rows in classes[i - 1])
-            assert sum(parts) == sum(f[:x])
-    with pytest.raises(ValueError):
-        three_sum_decomposition(0, sets, 0)
-    with pytest.raises(ValueError):
-        three_sum_decomposition(0, sets, 5)
+        sums = trial_sums(t, [seed], RADEMACHER, (sets.labels, 3 * scales.k))
+        s1, s2, s3, msum = (part[0] for part in fluctuations._class_sums(sums))
+        for i, x in enumerate(scales.xs):
+            parts = (s1[i], s2[i], s3[i])
+            assert parts == tuple(sum(f[r] for r in rows) for rows in classes[i])
+            assert msum[i] == sum(parts) == sum(f[:x])
 
 
 @pytest.mark.parametrize("seed", [4, 19])

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from polyrmf import moments
 from polyrmf.moments import (
     GcdHistogram,
-    _core,
     _kernel_keys,
     _pair_scan,
     _scan_tally,
@@ -22,7 +21,7 @@ from polyrmf.moments import (
 from polyrmf.poly import IntPolynomial
 from polyrmf.sieve import ValueRecord, sieve_values
 
-from oracles import table_from_records
+from oracles import exact_sum_law, pruned_by_rounds, table_from_records
 
 
 def test_kernel_identity_against_gcd():
@@ -258,6 +257,7 @@ def test_pair_scan_callers_match_brute_force_hypothesis(t):
         prod = math.prod(quad)
         square += math.isqrt(prod) ** 2 == prod
     assert fourth_moment_exact(t) == square
+    _assert_core_lemma(t)
     brute = Counter(math.gcd(a, b) for a in vals for b in vals)
     hist = gcd_class_histogram(t, threshold=1)
     assert hist.total_pairs == len(vals) ** 2
@@ -269,18 +269,39 @@ def test_pair_scan_callers_match_brute_force_hypothesis(t):
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-def _pruned_by_rounds(table):
-    """(sorted core values, rounds): squarefree rows holding a prime that no
-    other remaining row holds are dropped, one round at a time, on prime sets."""
-    recs = [r for r in table if r.is_squarefree]
-    alive, rounds = set(range(len(recs))), 0
-    while True:
-        held = Counter(p for i in alive for p, _ in recs[i].factors)
-        drop = {i for i in alive if any(held[p] == 1 for p, _ in recs[i].factors)}
-        if not drop:
-            return sorted(recs[i].value for i in alive), rounds
-        alive -= drop
-        rounds += 1
+def _assert_core_lemma(t):
+    """The law of S over the squarefree rows is the law of the core's sum
+    convolved with the binomial law of the m dropped rows, exactly: the
+    counts over 2**k and 2**(k_core + m) sign patterns agree cross-multiplied."""
+    whole, k = exact_sum_law(t, t.is_squarefree)
+    core, k_core = exact_sum_law(t, t.core())
+    m = int(t.is_squarefree.sum() - t.core().sum())
+    joint = Counter()
+    for s, c in core.items():
+        for j in range(m + 1):
+            joint[s + 2 * j - m] += c * math.comb(m, j)
+    assert {s: c << (k_core + m) for s, c in whole.items()} == {s: c << k for s, c in joint.items()}
+
+
+def test_core_lemma_holds_exactly():
+    # the eleven cases the core lemma was first checked on; (x-5)^2+1 repeats values
+    cases = [((1, 0, 1), 14), ((1, 0, 1), 24), ((0, 1, 1), 12), ((0, 1, 1), 40),
+             ((2, 0, 0, 1), 8), ((0, 1), 18), ((0, 1), 40), ((26, -10, 1), 12),
+             ((1, 1, 1), 13), ((2, 3, 1), 30), ((5, 0, 1), 20)]
+    for coeffs, n in cases:
+        _assert_core_lemma(sieve_values(IntPolynomial(coeffs), n))
+
+
+def test_exact_sum_law_of_private_primes_is_binomial():
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73]
+    t = _table_of([[(p, 1)] for p in primes[:10]] + [[(2, 2)], []])
+    law, k = exact_sum_law(t, np.arange(10))
+    assert k == 10
+    assert law == {2 * j - 10: math.comb(10, j) for j in range(11)}
+    # a square adds 0 and the unit adds 1 under every pattern
+    assert exact_sum_law(t, np.arange(12)) == ({s + 1: c for s, c in law.items()}, 10)
+    with pytest.raises(ValueError):
+        exact_sum_law(_table_of([[(p, 1)] for p in primes]), np.arange(21))
 
 
 def _square_quadruples(vals):
@@ -298,9 +319,10 @@ def test_core_prunes_a_chain_over_several_rounds():
     chain = [[(2, 1), (3, 1)], [(3, 1), (5, 1)], [(5, 1), (7, 1)], [(7, 1), (13, 1)]]
     cycle = [[(13, 1), (17, 1)], [(17, 1), (19, 1)], [(13, 1), (19, 1)]]
     t = _table_of(chain + cycle + [[], [(2, 2), (3, 1)], [(23, 1)]])
-    core, rounds = _pruned_by_rounds(t)
+    core, rounds = pruned_by_rounds(t)
     assert rounds == 4
-    assert sorted(_core(t).tolist()) == core == [1, 221, 247, 323]
+    assert (np.flatnonzero(t.core()) + 1).tolist() == core
+    assert sorted(t.values[t.core()].tolist()) == [1, 221, 247, 323]
     vals = t.values[t.is_squarefree].tolist()
     assert fourth_moment_exact(t) == _square_quadruples(vals)
     # 1 * 221 * 247 * 323 is a square, so the count is past the diagonal
@@ -324,12 +346,11 @@ def test_fourth_moment_from_core_matches_unpruned_scan(coeffs, n):
     assert fourth_moment_exact(t) == sum(c * c for c in counts.tolist())
     # the core is the fixed point: every prime of a core row is held by at
     # least two core rows, and it is what pruning round by round leaves
-    core = _core(t).tolist()
+    core = np.flatnonzero(t.core()) + 1
     assert 0 < len(core) < s
-    primes = {r.value: [p for p, _ in r.factors] for r in t if r.is_squarefree}
-    held = Counter(p for v in core for p in primes[v])
+    held = Counter(p for n in core.tolist() for p, _ in t.record(n).factors)
     assert min(held.values()) >= 2
-    assert sorted(core) == _pruned_by_rounds(t)[0]
+    assert core.tolist() == pruned_by_rounds(t)[0]
 
 
 def test_no_relation_table_hits_diagonal_floor():

@@ -365,10 +365,11 @@ def test_prefix_is_the_table_of_the_shorter_range(coeffs, N):
         for got, want in zip(pre.prime_index(), fresh.prime_index()):
             assert np.array_equal(got, want)
         assert np.array_equal(pre.entry_rows(), fresh.entry_rows())
-        assert big._prime_index is None and big._entry_rows is None
-    big.prime_index(), big.entry_rows()
+        assert np.array_equal(pre.core(), fresh.core())
+        assert big._prime_index is None and big._entry_rows is None and big._core is None
+    big.prime_index(), big.entry_rows(), big.core()
     pre = big.prefix(N)
-    assert pre._prime_index is None and pre._entry_rows is None
+    assert pre._prime_index is None and pre._entry_rows is None and pre._core is None
     for n in (0, N + 1):
         with pytest.raises(ValueError):
             big.prefix(n)
