@@ -8,11 +8,13 @@ integers otherwise. Roots modulo primes come from one algorithm for every
 degree: roots_mod_primes splits the primes in blocks of a fixed size and
 splits P modulo a whole block at once by Cantor-Zassenhaus gcds with
 (x + a)**((p - 1)/2) -+ 1, in int64 arithmetic that is exact while
-(deg P + 1) * p**2 < 2**63 and refused with DomainError past it. Roots
-modulo p**2 are counted, not listed, by Hensel lifting the roots modulo p:
-count_roots_mod_prime_squares counts the simple ones for all primes at once
-and lifts the few singular ones in Python integers. classify
-decides every degree on one path: the rational roots of P are found
+(deg P + 1) * p**2 < 2**63 and refused with DomainError past it. A
+LINEAR_FACTORS P is split from its factors a*x + b, one row per factor and
+prime, whose roots -b/a need no gcd round; a root that several factors
+share mod p is listed once. Roots modulo p**2 are counted, not listed, by
+Hensel lifting the roots modulo p: count_roots_mod_prime_squares counts the
+simple ones for all primes at once and lifts the few singular ones in
+Python integers. classify decides every degree on one path: the rational roots of P are found
 p-adically from the roots modulo a prime, lifted and reconstructed as
 fractions, so no divisor of a coefficient is enumerated.
 """
@@ -394,51 +396,75 @@ def _split_pieces(pieces: dict, found: list) -> None:
 _PRIME_BLOCK = 1 << 14
 
 
-def _block_roots(P: IntPolynomial, q: np.ndarray, found: list) -> None:
-    """Append to found, as (ps, rs) array pairs, every root of P modulo every q."""
-    m = np.column_stack([_mod_primes(c, q) for c in P.coeffs])
+def _block_roots(polys: tuple, q: np.ndarray, found: list) -> None:
+    """Append to found, as (ps, rs) array pairs, every root of each poly modulo every q.
+
+    The polys share one degree, and each gives one row per q.
+    """
+    m = np.concatenate([np.column_stack([_mod_primes(c, q) for c in f.coeffs]) for f in polys])
+    q = np.tile(q, len(polys))
     deg = _degrees(m)
     zero = deg < 0
-    if zero.any():  # P = 0 mod q: every residue
+    if zero.any():  # the poly is 0 mod q: every residue
         qz = q[zero]
         found.append((np.repeat(qz, qz), np.arange(int(qz.sum())) - np.repeat(np.cumsum(qz) - qz, qz)))
     two = (q == 2) & ~zero
-    for r, value in ((0, m[two, 0]), (1, m[two].sum(axis=1))):  # P(0) and P(1)
+    for r, value in ((0, m[two, 0]), (1, m[two].sum(axis=1))):  # its values at 0 and 1
         hit = value % 2 == 0
         found.append((q[two][hit], np.full(int(hit.sum()), r, dtype=np.int64)))
     odd = np.nonzero(~zero & ~two)[0]
     _split_pieces(_monic_pieces(m[odd], deg[odd], q[odd], found), found)
 
 
-def roots_mod_primes(P: IntPolynomial, primes) -> tuple[np.ndarray, np.ndarray]:
-    """Every root r of P modulo every prime p in primes, as int64 arrays (ps, rs).
+def _split_mod_primes(polys: tuple, primes) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of the product of polys modulo every prime, as roots_mod_primes returns them.
 
-    Pairs are sorted by (p, r), with each distinct prime once; a prime
-    dividing every coefficient gives all p residues. The distinct primes are
-    split, in ascending order, in blocks of _PRIME_BLOCK, and each block's
-    pairs are sorted on their own, so the scratch memory stays bounded
-    however many there are. All arithmetic is in int64, exact while
-    (deg P + 1) * p**2 < 2**63; past that bound this raises DomainError.
+    A pair that several polys give is kept once. The int64 bound is that of
+    the product, whose degree is the sum of theirs.
     """
+    d = sum(f.degree for f in polys)
     try:
         q = np.asarray(primes, dtype=np.int64).reshape(-1)
     except OverflowError:
         raise DomainError("a prime exceeds int64") from None
-    if len(q) and (P.degree + 1) * int(q.max()) ** 2 >= _INT64_LIMIT:
+    if len(q) and (d + 1) * int(q.max()) ** 2 >= _INT64_LIMIT:
         raise DomainError(
             f"prime {int(q.max())} is too large for exact int64 roots of a degree "
-            f"{P.degree} polynomial: needs (deg + 1) * p**2 < 2**63"
+            f"{d} polynomial: needs (deg + 1) * p**2 < 2**63"
         )
     if (q[1:] <= q[:-1]).any():
         q = np.unique(q)
     blocks = [(np.empty(0, np.int64), np.empty(0, np.int64))]
     for lo in range(0, len(q), _PRIME_BLOCK):
-        found = []
-        _block_roots(P, q[lo : lo + _PRIME_BLOCK], found)
+        found, block = [], q[lo : lo + _PRIME_BLOCK]
+        _block_roots(polys, block, found)
         ps, rs = (np.concatenate(col) for col in zip(*found))
-        order = np.lexsort((rs, ps))
-        blocks.append((ps[order], rs[order]))
+        # the key p * top + r orders pairs by (p, r), as r < p <= top, and
+        # stays below 2 * top**2, inside int64 by the bound
+        top = int(block.max())
+        key = np.sort(ps * top + rs)
+        blocks.append(np.divmod(key[np.diff(key, prepend=-1) != 0], top))
     return tuple(np.concatenate(col) for col in zip(*blocks))
+
+
+def roots_mod_primes(P: IntPolynomial, primes) -> tuple[np.ndarray, np.ndarray]:
+    """Every root r of P modulo every prime p in primes, as int64 arrays (ps, rs).
+
+    Pairs are sorted by (p, r), with each distinct prime once; a prime
+    dividing every coefficient gives all p residues. A LINEAR_FACTORS P is
+    split from its factors a*x + b (see classify), with no Cantor-Zassenhaus
+    round; a root two factors share mod p (p divides their resultant), or
+    that a factor 0 mod p repeats, is listed once; any other P is split
+    itself. The distinct primes are split, in ascending order, in blocks of
+    _PRIME_BLOCK, and each block's pairs are sorted on their own, so the
+    scratch memory stays bounded however many there are. All arithmetic is
+    in int64, exact while (deg P + 1) * p**2 < 2**63; past that bound this
+    raises DomainError.
+    """
+    cls = classify(P)
+    if cls.kind == LINEAR_FACTORS:
+        return _split_mod_primes(tuple(IntPolynomial((b, a)) for a, b in cls.factors), primes)
+    return _split_mod_primes((P,), primes)
 
 
 def _lift_kinds(P: IntPolynomial, ps: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -491,7 +517,7 @@ def _rational_roots(P: IntPolynomial) -> list[tuple[int, int]] | None:
         seen += len(q)
         q = q[_mod_primes(P.leading, q) != 0]
         covered *= math.prod(q.tolist())
-        ps, rs = roots_mod_primes(P, q)
+        ps, rs = _split_mod_primes((P,), q)  # P itself: roots_mod_primes asks classify
         split, counts = np.unique(ps, return_counts=True)
         split = split[counts == d]
         if len(split):

@@ -1,12 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyrmf.errors import DomainError
+from polyrmf.intmath import primes_up_to
 from polyrmf.poly import (
+    _split_mod_primes,
     _sqr_mod,
     IRREDUCIBLE_QUADRATIC,
     LINEAR_FACTORS,
@@ -255,21 +258,55 @@ def test_roots_mod_prime_matches_scan_above_dispatch_cutoff():
 _PRIMES_BELOW_2000 = np.array(list(sympy.primerange(2, 2000)), dtype=np.int64)
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=24, deadline=None)
 @given(
     st.lists(st.integers(-9, 9), min_size=2, max_size=6),
-    st.integers(1, 9),
+    st.integers(-9, 9).filter(bool),
+    # 2-4 distinct linear factors a x + b; a prime dividing some a leaves a
+    # factor without roots, and one dividing a1 b2 - a2 b1 makes two share one
+    st.lists(st.tuples(st.integers(1, 6), st.integers(-9, 9)), min_size=2, max_size=4,
+             unique_by=lambda f: Fraction(f[1], f[0])),
+    st.booleans(),
 )
-def test_roots_mod_primes_match_scan_hypothesis(coeffs, content):
-    # degrees 1-5 over every prime below 2000, content primes included
-    if coeffs[-1] == 0:
-        coeffs = coeffs[:-1] + [1]
-    coeffs = [content * c for c in coeffs]
+@example([1, 1], 1, [(2, 1), (1, 3)], True)  # 2x + 1 has no root mod 2; both have 2 mod 5
+# content -6 zeroes the first factor mod 2 and 3; 5x + 3 and 3x - 1 share 5 mod 7
+@example([1, 1], -6, [(5, 3), (1, 0), (3, -1)], True)
+def test_roots_mod_primes_match_scan_hypothesis(coeffs, content, factors, split):
+    # degrees 1-5 over every prime below 2000, content primes included, and
+    # products of linear factors, which roots_mod_primes splits factor by factor
+    if split:
+        (a, b), *rest = factors
+        coeffs = list(_product([(content * a, content * b), *rest]).coeffs)
+    else:
+        if coeffs[-1] == 0:
+            coeffs = coeffs[:-1] + [1]
+        coeffs = [content * c for c in coeffs]
     poly = IntPolynomial(coeffs)
+    if split:
+        assert classify(poly).kind == LINEAR_FACTORS
     ps, rs = roots_mod_primes(poly, _PRIMES_BELOW_2000)
     assert ps.dtype == rs.dtype == np.int64
     expected = [(p, r) for p in _PRIMES_BELOW_2000.tolist() for r in roots_mod_scan(coeffs, p)]
     assert list(zip(ps.tolist(), rs.tolist())) == expected
+    # the lift mod p**2 reads P', so a root two factors share must count its fibre
+    small = _PRIMES_BELOW_2000[_PRIMES_BELOW_2000 < 50].tolist()
+    expected = [len(roots_mod_scan(coeffs, p * p)) for p in small]
+    assert count_roots_mod_prime_squares(poly, small).tolist() == expected
+
+
+def test_roots_mod_primes_from_factors_match_splitting_p_itself():
+    # past the scan range: the factor rows give exactly the pairs that the
+    # Cantor-Zassenhaus split of P gives, from a cold classify cache, which
+    # would recurse if classify's own root search went through the factors
+    classify.cache_clear()
+    primes = primes_up_to(10**5)
+    for factors in ([(1, 0), (1, 1)], [(1, 634), (1, 635)], [(10, 5), (3, -2)],
+                    [(1, 0), (1, -1), (1, 2)], [(1, 2**70), (1, 2**70 + 1)]):
+        poly = _product(factors)
+        got = roots_mod_primes(poly, primes)
+        assert classify(poly).kind == LINEAR_FACTORS
+        expected = _split_mod_primes((poly,), primes)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected)), factors
 
 
 def test_roots_mod_primes_exact_past_the_scan_range():
